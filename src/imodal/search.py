@@ -10,22 +10,25 @@ pointwise.  ``find_countermodel`` returns the first hit in enumeration order;
 with several workers the space is partitioned by cell and the globally least
 hit is reported, so outcomes do not depend on the worker count.
 
-The vectorized sweep (``sweep_inm_validity``) checks a batch of formulas for
-validity over every intuitionistic neighbourhood model within bounds using
-bitmask tables over candidate-neighbourhood pairs; it is an optimized
-equivalent of running ``find_countermodel`` per formula and is cross-checked
-against that reference in the test suite.
+The bit-sliced sweep (``sweep_inm_validity``) checks a batch of formulas for
+validity over every intuitionistic neighbourhood model within bounds.  For
+each poset and valuation it evaluates all models with up to two
+neighbourhoods at once: a truth value is one Python int per world, with one
+bit per model.  It is an optimized equivalent of running
+``find_countermodel`` per formula, re-checks every witness with
+``eval_inm``, and is cross-checked against that reference in the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
-
-import numpy as np
 
 from .folm import FOMStructure, IFOMStructure, eval_modal_ifom
 from .models import (CNModel, IK2Model, INModel, NbhdModel, check_ik2_frame,
@@ -456,7 +459,8 @@ def random_coherent_inm(rng, bounds: SearchBounds, attempts: int = 40) -> INMode
         nbhds[f"a{i}"] = values
     val = {i: _random_upset(rng, worlds, leq) for i in range(bounds.max_atoms)}
     m = INModel(worlds, leq, nbhds, val)
-    assert check_inm(m, "coherent").ok
+    if not check_inm(m, "coherent").ok:
+        raise RuntimeError("the constructive fallback built an incoherent model")
     return m
 
 
@@ -507,14 +511,15 @@ def random_ifom(rng, max_worlds: int = 4, max_states: int = 3,
         for a in range(max_nbhds):
             if f"n{a}" not in nbhds and rng.random() < 0.4:
                 nbhds.add(f"n{a}")
-        for x in states:
-            for a in nbhds:
+        # sorted, so that the draws do not depend on string hashing
+        for x in sorted(states):
+            for a in sorted(nbhds):
                 if rng.random() < 0.4:
                     relN.add((x, a))
                 if rng.random() < 0.4:
                     relE.add((a, x))
         for i in range(max_atoms):
-            for x in states:
+            for x in sorted(states):
                 if rng.random() < 0.3:
                     preds[i].add(x)
         interp[w] = FOMStructure(frozenset(states), frozenset(nbhds),
@@ -552,25 +557,24 @@ def random_formula(rng, max_depth: int, atom_count: int = 2,
 
 
 # ---------------------------------------------------------------------------
-# Vectorized exhaustive validity sweep (intuitionistic neighbourhood models)
+# Bit-sliced exhaustive validity sweep (intuitionistic neighbourhood models)
 # ---------------------------------------------------------------------------
-
-def _mask_of(s, n: int) -> int:
-    return sum(1 << w for w in s)
-
 
 def sweep_inm_validity(formulas: Sequence[Formula], bounds: SearchBounds):
     """For each formula, scan every intuitionistic neighbourhood model within
     the bounds (neighbourhood count at most two) and report ``None`` when the
-    formula holds at every world of every model, else a verified witness
-    ``(model, world)``.
+    formula holds at every world of every model, else a witness
+    ``(model, world)`` that ``eval_inm`` has re-checked.
 
-    Models with two neighbourhoods are evaluated in bulk as bitmask arrays
-    indexed by candidate pairs; the diagonal covers singleton models and the
-    empty neighbourhood set is evaluated separately.
+    Within one poset and valuation, the models form a batch: every multiset
+    of ``max_nbhds`` candidate neighbourhoods, in
+    ``combinations_with_replacement`` order.  Candidate 0 has an empty domain
+    and stands for "no neighbourhood", so one batch covers every count from 0
+    to ``max_nbhds``.  A truth value is a list of one int per world whose bit
+    ``b`` says whether the formula holds there in model ``b`` of the batch.
     """
     if bounds.max_nbhds > 2:
-        raise ValueError("the vectorized sweep supports at most two neighbourhoods")
+        raise ValueError("the bit-sliced sweep supports at most two neighbourhoods")
     results: list = [None] * len(formulas)
     pending = set(range(len(formulas)))
     for n in range(1, bounds.max_worlds + 1):
@@ -581,150 +585,108 @@ def sweep_inm_validity(formulas: Sequence[Formula], bounds: SearchBounds):
     return results
 
 
+def _slot_vector(pred: int, count: int, k: int, slot: int) -> int:
+    """Spread a bit vector over ``count`` candidates to the batch of
+    ``k``-multisets of them (``k`` at most two): bit ``b`` of the result is
+    the bit of the ``slot``-th candidate of the ``b``-th multiset."""
+    if k == 1:
+        return pred
+    bits = format(pred, f"0{count}b")[::-1]
+    # the multisets that start with candidate i are (i, i), (i, i+1), ...
+    if slot == 0:
+        spread = "".join(bits[i] * (count - i) for i in range(count))
+    else:
+        spread = "".join(bits[i:] for i in range(count))
+    return int(spread[::-1], 2)
+
+
+def _meet(vectors: list) -> int:
+    return functools.reduce(operator.and_, vectors)
+
+
+def _join(vectors: list) -> int:
+    return functools.reduce(operator.or_, vectors, 0)
+
+
 def _sweep_cell(formulas, bounds, n, strict, results, pending):
-    if n > 8:
-        raise ValueError("the vectorized sweep supports at most eight worlds")
     leq = reflexive(n, strict)
-    full = (1 << n) - 1
+    worlds = range(n)
+    up = [[v for v in worlds if (w, v) in leq] for w in worlds]
     upsets = upsets_of_poset(n, leq)
-    upset_masks = [_mask_of(s, n) for s in upsets]
-    up_mask = [sum(1 << v for v in range(n) if (w, v) in leq) for w in range(n)]
-    down = np.zeros(1 << n, dtype=np.uint8)
-    for m in range(1 << n):
-        acc = 0
-        for w in range(n):
-            if any(m >> v & 1 for v in range(n) if (w, v) in leq):
-                acc |= 1 << w
-        down[m] = acc
+    cands = _inm_candidates(n, leq, upsets)  # cands[0] has the empty domain
+    k = bounds.max_nbhds
+    batch = math.comb(len(cands) + k - 1, k)
+    full = (1 << batch) - 1
 
-    cands = _inm_candidates(n, leq, upsets)
-    s_count = len(cands)
-    dom_mask = [ _mask_of(c[0], n) for c in cands]
-    val_mask = [[0] * n for _ in range(s_count)]
-    for ci, (dom_t, values) in enumerate(cands):
-        for w, value in zip(dom_t, values):
-            val_mask[ci][w] = _mask_of(value, n)
+    # per-candidate predicates: v in the domain, u in the value at v
+    dom = [0] * n
+    val = [[0] * n for _ in worlds]
+    for c, (dom_t, values) in enumerate(cands):
+        for v, value in zip(dom_t, values):
+            dom[v] |= 1 << c
+            for u in value:
+                val[v][u] |= 1 << c
+    slots = [([_slot_vector(d, len(cands), k, s) for d in dom],
+              [[_slot_vector(x, len(cands), k, s) for x in row] for row in val])
+             for s in range(k)]
 
-    box_tab = np.zeros((s_count, 1 << n), dtype=np.uint8)
-    dia_tab = np.zeros((s_count, 1 << n), dtype=np.uint8)
-    for ci in range(s_count):
-        dm = dom_mask[ci]
-        vm = val_mask[ci]
-        for t in range(1 << n):
-            b = d = 0
-            for w in range(n):
-                ok_box = bool(dm >> w & 1)
-                ok_dia = True
-                for v in range(n):
-                    if up_mask[w] >> v & 1 and dm >> v & 1:
-                        if vm[v] & ~t:
-                            ok_box = False
-                        if not (vm[v] & t):
-                            ok_dia = False
-                if ok_box:
-                    b |= 1 << w
-                if ok_dia:
-                    d |= 1 << w
-            box_tab[ci, t] = b
-            dia_tab[ci, t] = d
-    rows = np.arange(s_count)[:, None]
-    cols = np.arange(s_count)[None, :]
-
-    def pair_eval(phi, valuation, memo):
-        if phi in memo:
-            return memo[phi]
+    def ev(phi, atoms, memo):
+        r = memo.get(phi)
+        if r is not None:
+            return r
         if isinstance(phi, Atom):
-            r = np.full((s_count, s_count), valuation.get(phi.index, 0), dtype=np.uint8)
+            r = atoms[phi.index] if phi.index < len(atoms) else [0] * n
         elif isinstance(phi, Falsum):
-            r = np.zeros((s_count, s_count), dtype=np.uint8)
-        elif isinstance(phi, And):
-            r = pair_eval(phi.left, valuation, memo) & pair_eval(phi.right, valuation, memo)
-        elif isinstance(phi, Or):
-            r = pair_eval(phi.left, valuation, memo) | pair_eval(phi.right, valuation, memo)
-        elif isinstance(phi, Implies):
-            x = pair_eval(phi.left, valuation, memo)
-            y = pair_eval(phi.right, valuation, memo)
-            r = full & ~down[x & (full ^ y)]
+            r = [0] * n
+        elif isinstance(phi, (And, Or, Implies)):
+            x = ev(phi.left, atoms, memo)
+            y = ev(phi.right, atoms, memo)
+            if isinstance(phi, And):
+                r = [a & b for a, b in zip(x, y)]
+            elif isinstance(phi, Or):
+                r = [a | b for a, b in zip(x, y)]
+            else:
+                imp = [(full ^ a) | b for a, b in zip(x, y)]
+                r = [_meet([imp[v] for v in up[w]]) for w in worlds]
         elif isinstance(phi, Box):
-            t = pair_eval(phi.sub, valuation, memo)
-            r = box_tab[rows, t] | box_tab[cols, t]
+            # one neighbourhood whose values stay inside t at all successors
+            t = ev(phi.sub, atoms, memo)
+            out = [full ^ a for a in t]
+            r = [0] * n
+            for dom_s, val_s in slots:
+                miss = [_join([val_s[v][u] & out[u] for u in worlds]) for v in worlds]
+                for w in worlds:
+                    r[w] |= dom_s[w] & ~_join([miss[v] for v in up[w]])
         elif isinstance(phi, Dia):
-            t = pair_eval(phi.sub, valuation, memo)
-            r = dia_tab[rows, t] & dia_tab[cols, t]
+            # fails at and below every world where some value misses t
+            t = ev(phi.sub, atoms, memo)
+            bad = [0] * n
+            for dom_s, val_s in slots:
+                for v in worlds:
+                    bad[v] |= dom_s[v] & ~_join([val_s[v][u] & t[u] for u in worlds])
+            r = [full & ~_join([bad[v] for v in up[w]]) for w in worlds]
         else:
             raise TypeError(f"not a modal-dialect formula: {phi!r}")
         memo[phi] = r
         return r
 
-    def scalar_eval(phi, valuation, memo):
-        # the empty neighbourhood set: box never holds, diamond always
-        if phi in memo:
-            return memo[phi]
-        if isinstance(phi, Atom):
-            r = valuation.get(phi.index, 0)
-        elif isinstance(phi, Falsum):
-            r = 0
-        elif isinstance(phi, And):
-            r = scalar_eval(phi.left, valuation, memo) & scalar_eval(phi.right, valuation, memo)
-        elif isinstance(phi, Or):
-            r = scalar_eval(phi.left, valuation, memo) | scalar_eval(phi.right, valuation, memo)
-        elif isinstance(phi, Implies):
-            x = scalar_eval(phi.left, valuation, memo)
-            y = scalar_eval(phi.right, valuation, memo)
-            r = full & ~int(down[x & (full ^ y)])
-        elif isinstance(phi, Box):
-            scalar_eval(phi.sub, valuation, memo)
-            r = 0
-        elif isinstance(phi, Dia):
-            scalar_eval(phi.sub, valuation, memo)
-            r = full
-        else:
-            raise TypeError(f"not a modal-dialect formula: {phi!r}")
-        memo[phi] = r
-        return r
-
-    def realize(ci, cj, valuation_sets):
-        names = {}
-        picks = [ci] if cj is None else [ci, cj]
-        for i, c in enumerate(picks):
-            dom_t, values = cands[c]
-            names[f"a{i}"] = dict(zip(dom_t, values))
-        return INModel(frozenset(range(n)), leq, names,
-                       {i: valuation_sets[i] for i in range(len(valuation_sets))})
-
-    for vals in itertools.product(range(len(upsets)), repeat=bounds.max_atoms):
-        valuation = {i: upset_masks[v] for i, v in enumerate(vals)}
-        valuation_sets = [upsets[v] for v in vals]
-        memo_pair: dict = {}
-        memo_scalar: dict = {}
+    for vals in itertools.product(upsets, repeat=bounds.max_atoms):
+        atoms = [[full if w in ext else 0 for w in worlds] for ext in vals]
+        memo: dict = {}
         for fi in sorted(pending):
             phi = formulas[fi]
-            sc = scalar_eval(phi, valuation, memo_scalar)
-            if sc != full:
-                world = min(w for w in range(n) if not sc >> w & 1)
-                model = INModel(frozenset(range(n)), leq, {},
-                                {i: valuation_sets[i] for i in range(len(valuation_sets))})
-                results[fi] = (model, world)
-                pending.discard(fi)
+            t = ev(phi, atoms, memo)
+            failing = full ^ _meet(t)
+            if not failing:
                 continue
-            if bounds.max_nbhds == 0 or s_count == 0:
-                continue
-            arr = pair_eval(phi, valuation, memo_pair)
-            if bounds.max_nbhds == 1:
-                arr = arr.diagonal()
-            bad = np.argwhere(arr != full)
-            if bad.size:
-                first = bad[0]
-                if bounds.max_nbhds == 1:
-                    ci, cj = int(first[0]), None
-                    mask = int(arr[first[0]])
-                else:
-                    ci, cj = int(first[0]), int(first[1])
-                    mask = int(arr[first[0], first[1]])
-                    if ci == cj:
-                        cj = None
-                world = min(w for w in range(n) if not mask >> w & 1)
-                model = realize(ci, cj, valuation_sets)
-                assert not eval_inm(model, world, phi)  # witnesses must re-check
-                results[fi] = (model, world)
-                pending.discard(fi)
+            b = (failing & -failing).bit_length() - 1
+            world = next(w for w in worlds if not t[w] >> b & 1)
+            combo = next(itertools.islice(
+                itertools.combinations_with_replacement(range(len(cands)), k), b, None))
+            nbhds = {f"a{i}": dict(zip(*cands[c]))
+                     for i, c in enumerate(sorted(set(combo) - {0}))}
+            model = INModel(frozenset(worlds), leq, nbhds, dict(enumerate(vals)))
+            if eval_inm(model, world, phi):
+                raise RuntimeError(f"sweep witness for {phi} does not re-check")
+            results[fi] = (model, world)
+            pending.discard(fi)

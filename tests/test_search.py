@@ -1,5 +1,11 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
+import imodal
 from imodal.models import (check_full, check_ik2_frame, check_inm, eval_cnm,
                            eval_inm, validate_cnm, validate_inm)
 from imodal.folm import validate_ifom
@@ -9,7 +15,18 @@ from imodal.search import (CounterexampleFound, NoneWithinBounds, RefutedAt,
                            oracle_consequence, random_cnm, random_coherent_inm,
                            random_formula, random_ifom, random_inm,
                            strict_posets, sweep_inm_validity, upsets_of_poset)
-from imodal.syntax import Atom, consecution, parse, substitute
+from imodal.syntax import (FALSUM, Atom, Box, Dia, Implies, consecution, parse,
+                           substitute)
+
+SRC = os.path.dirname(os.path.dirname(imodal.__file__))
+
+
+def _run_python(code: str, **env) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout's sources."""
+    env = {**os.environ, "PYTHONPATH": SRC, **env}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    return done.stdout.strip()
 
 
 class TestEnumeration:
@@ -193,6 +210,20 @@ class TestRandomGenerators:
         for _ in range(100):
             assert validate_cnm(random_cnm(rng, SearchBounds(3, 2, 1))) == []
 
+    def test_ifom_independent_of_string_hashing(self):
+        code = ("import hashlib, random\n"
+                "from imodal.search import random_ifom\n"
+                "def canon(s):\n"
+                "    return (sorted(s.worlds), sorted(s.leq), [\n"
+                "        (w, sorted(m.states), sorted(m.nbhds), sorted(m.relN),\n"
+                "         sorted(m.relE), sorted((i, sorted(p)) for i, p in m.preds.items()))\n"
+                "        for w, m in sorted(s.interp.items())])\n"
+                "rng = random.Random(7)\n"
+                "draws = [canon(random_ifom(rng, 3, 2, 2, 1)) for _ in range(50)]\n"
+                "print(hashlib.sha256(repr(draws).encode()).hexdigest())\n")
+        digests = {_run_python(code, PYTHONHASHSEED=seed) for seed in ("1", "3")}
+        assert len(digests) == 1
+
     def test_ifom_valid(self, rng):
         for _ in range(100):
             assert validate_ifom(random_ifom(rng, 4, 3, 2, 2)) == []
@@ -203,28 +234,62 @@ class TestRandomGenerators:
             assert modal_depth(random_formula(rng, 3, 2)) <= 3
 
 
+def _sweep_batch(atom_count: int) -> list:
+    """Seeded random formulas of modal depth up to three, instances of
+    ``neg-a`` and ``i-dia`` with nested modal substituents, and a few
+    nested validities and non-theorems."""
+    from imodal.calculi import NEG_A, I_DIA
+    rng = random.Random(11)
+    formulas = [random_formula(rng, 3, atom_count) for _ in range(40)]
+    substituents = [Atom(0), FALSUM, Box(Atom(0)), Dia(Atom(0)), Box(Dia(Atom(0))),
+                    Dia(Implies(Atom(0), FALSUM)), Implies(Box(Atom(0)), Dia(Atom(0)))]
+    formulas += [substitute(schema, {0: x})
+                 for schema in (NEG_A, I_DIA) for x in substituents]
+    formulas += [parse(t) for t in ("[](p0 & p0) -> []p0", "[]<>p0 -> [](<>p0 | F)",
+                                    "<>[]p0 -> []p0", "[][]p0 -> []p0",
+                                    "~~<>p0 -> <>p0", "([]F -> <>T) -> <>T",
+                                    # refuted only by two distinct neighbourhoods
+                                    "([]p0 & []~p0) -> []F")]
+    return formulas
+
+
 class TestSweep:
     def test_matches_streaming_reference(self):
-        from imodal.calculi import NEG_A, I_DIA
-        formulas = [substitute(NEG_A, {0: Atom(0)}),
-                    substitute(I_DIA, {0: Atom(0)}),
-                    parse("([]F -> <>T) -> <>T"),
-                    parse("p0"),
-                    parse("[]p0 -> p0"),
-                    parse("<>p0 | ~<>p0"),
-                    parse("F -> p0")]
-        bounds = SearchBounds(2, 1, 1)
-        verdicts = sweep_inm_validity(formulas, bounds)
-        for phi, witness in zip(formulas, verdicts):
-            reference = find_countermodel(consecution([], phi), "inm", bounds)
-            assert (witness is None) == isinstance(reference, NoneWithinBounds)
-            if witness is not None:
-                model, world = witness
-                assert not eval_inm(model, world, phi)
+        # the larger spaces take every stride-th formula: the streaming
+        # reference needs about a second per valid formula there
+        for bounds, stride in [(SearchBounds(2, 0, 1), 1), (SearchBounds(2, 1, 1), 1),
+                               (SearchBounds(2, 2, 1), 1), (SearchBounds(2, 2, 2), 3),
+                               (SearchBounds(3, 1, 1), 5)]:
+            formulas = _sweep_batch(bounds.max_atoms)[::stride]
+            verdicts = sweep_inm_validity(formulas, bounds)
+            assert any(v is None for v in verdicts), bounds
+            assert any(v is not None for v in verdicts), bounds
+            for phi, witness in zip(formulas, verdicts):
+                reference = find_countermodel(consecution([], phi), "inm", bounds)
+                assert (witness is None) == isinstance(reference, NoneWithinBounds), \
+                    (bounds, str(phi))
+                if witness is not None:
+                    model, world = witness
+                    assert validate_inm(model) == []
+                    assert not eval_inm(model, world, phi)
+                    assert len(model.nbhds) <= bounds.max_nbhds
+                    assert len(model.worlds) <= bounds.max_worlds
+
+    def test_no_neighbourhood_witness(self):
+        # <>F holds just where no neighbourhood reaches, so the first witness
+        # is a model without neighbourhoods
+        [(model, world)] = sweep_inm_validity([parse("<>F -> F")], SearchBounds(1, 2, 0))
+        assert model.nbhds == {}
+        assert not eval_inm(model, world, parse("<>F -> F"))
 
     def test_rejects_large_neighbourhood_bounds(self):
         with pytest.raises(ValueError):
             sweep_inm_validity([parse("p0")], SearchBounds(1, 3, 1))
+
+    def test_import_leaves_numpy_out(self):
+        loaded = _run_python("import sys, imodal, imodal.cli, imodal.search; "
+                             "print('numpy' in sys.modules)")
+        assert loaded == "False"
 
 
 @pytest.mark.slow
