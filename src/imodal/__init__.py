@@ -19,8 +19,7 @@ from .transforms import (Path, TransformError, TruncationBudget, bullet,
 from .calculi import (CalculusSpec, Derivation, DerivationError,
                       builtin_calculus, check_derivation, compile_proof,
                       deduce, macro_mon, macro_str, match_axiom)
-from .search import (CounterexampleFound, NoneWithinBounds, RefutedAt,
-                     SearchBounds, UnrefutedWithinBounds, enumerate_models,
-                     find_countermodel, oracle_consequence)
+from .search import (CounterexampleFound, NoneWithinBounds, SearchBounds,
+                     enumerate_models, find_countermodel)
 
 __version__ = "0.1.0"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
 
@@ -22,13 +21,9 @@ class CliError(Exception):
     pass
 
 
-_KIND_DIALECTS = {"inm": ("modal",), "classical": ("modal",), "ifom": ("modal",),
-                  "cnm": ("modal", "nabla"), "ik2": ("bimodal",)}
-
-
 def _parse_for_kind(text: str, kind: str):
     last = None
-    for dialect in _KIND_DIALECTS[kind]:
+    for dialect in models.KINDS[kind].dialects:
         try:
             return parse(text, dialect)
         except syntax.FormulaSyntaxError as exc:
@@ -48,18 +43,6 @@ def _load_model(path: str, validate: bool = True):
 # Evaluation trace
 # ---------------------------------------------------------------------------
 
-def _eval_at(kind, model, point, phi) -> bool:
-    if kind == "inm":
-        return models.eval_inm(model, point, phi)
-    if kind == "classical":
-        return models.eval_classical(model, point, phi)
-    if kind == "cnm":
-        return models.eval_cnm(model, point, phi)
-    if kind == "ik2":
-        return models.eval_ik2(model, point, phi)
-    return folm.eval_modal_ifom(model, point[0], point[1], phi)
-
-
 def _successors(kind, model, point):
     if kind == "classical":
         return [point]
@@ -72,32 +55,33 @@ def _successors(kind, model, point):
 
 
 def _modal_note(kind, model, point, phi) -> str:
+    holds = models.KINDS[kind].holds
     sub = phi.sub
     if kind == "inm":
         if isinstance(phi, syntax.Box):
             for name in sorted(model.nbhds, key=str):
                 a = model.nbhds[name]
                 if point in a and all(
-                        all(_eval_at(kind, model, v, sub) for v in a.get(wp, ()))
+                        all(holds(model, v, sub) for v in a.get(wp, ()))
                         for wp in _successors(kind, model, point)):
                     return f"witnessed by neighbourhood {name}"
             return "no neighbourhood stays inside the truth set at all successors"
         for wp in _successors(kind, model, point):
             for name in sorted(model.nbhds, key=str):
                 a = model.nbhds[name]
-                if wp in a and not any(_eval_at(kind, model, v, sub) for v in a[wp]):
+                if wp in a and not any(holds(model, v, sub) for v in a[wp]):
                     return f"fails: neighbourhood {name} at successor {wp} has no member satisfying {show(sub)}"
         return "every neighbourhood of every successor has a witness"
     if kind == "cnm":
         if isinstance(phi, (syntax.Box, syntax.Nabla)):
             for wp in _successors(kind, model, point):
-                if not any(all(_eval_at(kind, model, v, sub) for v in a)
+                if not any(all(holds(model, v, sub) for v in a)
                            for a in model.gamma.get(wp, frozenset())):
                     return f"fails at successor {wp}: no neighbourhood inside the truth set"
             return "every successor has a covering neighbourhood"
         for wp in _successors(kind, model, point):
             for a in model.gamma.get(wp, frozenset()):
-                if not any(_eval_at(kind, model, v, sub) for v in a):
+                if not any(holds(model, v, sub) for v in a):
                     return f"fails at successor {wp}: a neighbourhood misses {show(sub)}"
         return "every neighbourhood of every successor has a witness"
     if kind == "ik2":
@@ -106,22 +90,22 @@ def _modal_note(kind, model, point, phi) -> str:
             for y in sorted(model.worlds, key=str):
                 if (point, y) in model.leq:
                     for z in sorted(model.worlds, key=str):
-                        if (y, z) in rel and not _eval_at(kind, model, z, sub):
+                        if (y, z) in rel and not holds(model, z, sub):
                             return f"fails via {point} <= {y} R {z}"
             return "all relational successors above the point satisfy the body"
         for y in sorted(model.worlds, key=str):
-            if (point, y) in rel and _eval_at(kind, model, y, sub):
+            if (point, y) in rel and holds(model, y, sub):
                 return f"witnessed by {y}"
         return "no relational successor satisfies the body"
     if kind == "classical":
         fam = model.nf.get(point, frozenset())
         if isinstance(phi, syntax.Box):
             for a in fam:
-                if all(_eval_at(kind, model, v, sub) for v in a):
+                if all(holds(model, v, sub) for v in a):
                     return "witnessed by a neighbourhood"
             return "no neighbourhood is contained in the truth set"
         for a in fam:
-            if not any(_eval_at(kind, model, v, sub) for v in a):
+            if not any(holds(model, v, sub) for v in a):
                 return "a neighbourhood has no witness"
         return "every neighbourhood has a witness"
     return ""  # ifom: the pair clauses speak for themselves
@@ -132,7 +116,8 @@ def trace_eval(kind, model, point, phi, depth=0, lines=None):
     and implications carry a note naming the deciding world."""
     if lines is None:
         lines = []
-    value = _eval_at(kind, model, point, phi)
+    holds = models.KINDS[kind].holds
+    value = holds(model, point, phi)
     pad = "  " * depth
     lines.append(f"{pad}[{point}] {show(phi)} : {str(value).lower()}")
     if isinstance(phi, (syntax.And, syntax.Or)):
@@ -144,8 +129,8 @@ def trace_eval(kind, model, point, phi, depth=0, lines=None):
             trace_eval(kind, model, point, phi.right, depth + 1, lines)
         else:
             failing = [v for v in _successors(kind, model, point)
-                       if _eval_at(kind, model, v, phi.left)
-                       and not _eval_at(kind, model, v, phi.right)]
+                       if holds(model, v, phi.left)
+                       and not holds(model, v, phi.right)]
             if failing:
                 v = failing[0]
                 lines.append(f"{pad}  fails at successor [{v}]:")
@@ -195,7 +180,7 @@ def _cmd_eval(args) -> int:
     if args.trace:
         value, lines = trace_eval(kind, model, point, phi)
     else:
-        value = _eval_at(kind, model, point, phi)
+        value = models.KINDS[kind].holds(model, point, phi)
     if args.json:
         payload = {"kind": kind, "world": args.world,
                    "formula": show(phi), "value": value}
@@ -209,32 +194,20 @@ def _cmd_eval(args) -> int:
     return 0 if value else 1
 
 
-_LEVELS = {"inm": ("basic", "coherent", "cartesian"),
-           "cnm": ("basic", "full"), "ik2": ("basic", "frame"),
-           "classical": ("basic",), "ifom": ("basic",)}
-
-
 def _cmd_check_model(args) -> int:
     kind, model = _load_model(args.model, validate=False)
-    levels = (args.level,) if args.level else _LEVELS[kind]
+    spec = models.KINDS[kind]
+    levels = ("basic",) + tuple(spec.checks)
     reports = []
-    for level in levels:
-        if level not in _LEVELS[kind]:
+    for level in (args.level,) if args.level else levels:
+        if level not in levels:
             raise CliError(f"level {level!r} does not apply to {kind} models")
-        if kind == "inm":
-            reports.append(models.check_inm(model, level))
-        elif level == "full":
-            ok = models.check_full(model)
-            reports.append(models.CheckReport("cnm-full", [] if ok else [("not-full",)]))
-        elif level == "frame":
-            reports.append(models.check_ik2_frame(model))
+        if level == "basic":
+            reports.append(models.CheckReport(f"{kind}-basic", spec.validate(model)))
         else:
-            validator = {"classical": models.validate_nbhd, "cnm": models.validate_cnm,
-                         "ik2": models.validate_ik2, "ifom": folm.validate_ifom,
-                         "inm": models.validate_inm}[kind]
-            reports.append(models.CheckReport(f"{kind}-basic", validator(model)))
+            reports.append(spec.checks[level](model))
     payload = [r.to_json() for r in reports]
-    print(json.dumps(payload if args.json else payload, indent=None if args.json else 2))
+    print(json.dumps(payload, indent=None if args.json else 2))
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -476,9 +449,6 @@ def _cmd_reproduce(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for sampled runs (reserved)")
-    common.add_argument("--timeout-ms", type=int, default=None)
 
     top = argparse.ArgumentParser(prog="imodal",
                                   description="intuitionistic monotone modal logic toolkit")
@@ -530,8 +500,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coherent", action="store_true")
     p.add_argument("--cartesian", action="store_true")
     p.add_argument("--full", action="store_true")
-    p.add_argument("--workers", type=int,
-                   default=max(1, os.cpu_count() or 1))
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--timeout-ms", type=int, default=None)
     p.add_argument("--out", default=None, help="write a found countermodel here")
     p.set_defaults(func=_cmd_search)
 

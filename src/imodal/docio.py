@@ -13,9 +13,8 @@ import json
 from typing import Mapping
 
 from . import calculi
-from .folm import FOMStructure, IFOMStructure, validate_ifom
-from .models import (CNModel, IK2Model, INModel, NbhdModel, validate_cnm,
-                     validate_ik2, validate_inm, validate_nbhd)
+from .folm import FOMStructure, IFOMStructure
+from .models import CNModel, IK2Model, INModel, KINDS, NbhdModel
 from .orders import reflexive_transitive_closure
 from .syntax import Consecution, parse, show
 
@@ -53,8 +52,7 @@ def _val_doc(val: Mapping, lab) -> dict:
 
 
 def model_kind(model) -> str:
-    return {NbhdModel: "classical", INModel: "inm", CNModel: "cnm",
-            IK2Model: "ik2", IFOMStructure: "ifom"}[type(model)]
+    return {spec.model: kind for kind, spec in KINDS.items()}[type(model)]
 
 
 def model_to_doc(model) -> dict:
@@ -103,20 +101,18 @@ def model_to_doc(model) -> dict:
     return doc
 
 
-_VALIDATORS = {"classical": validate_nbhd, "inm": validate_inm,
-               "cnm": validate_cnm, "ik2": validate_ik2, "ifom": validate_ifom}
-
-
 def model_from_doc(doc: dict, validate: bool = True):
+    if not isinstance(doc, dict):
+        raise DocumentError(f"a model document is a JSON object, not {type(doc).__name__}")
     kind = doc.get("kind")
-    if kind not in _VALIDATORS:
+    if kind not in KINDS:
         raise DocumentError(f"unknown or missing model kind {kind!r}")
     try:
         model = _build_model(kind, doc)
     except KeyError as exc:
         raise DocumentError(f"missing field {exc}") from exc
     if validate:
-        violations = _VALIDATORS[kind](model)
+        violations = KINDS[kind].validate(model)
         if violations:
             raise DocumentError(f"invalid {kind} document: {violations[:3]}")
     return model
@@ -140,11 +136,14 @@ def _build_model(kind: str, doc: dict):
         return {int(i): frozenset(check_world(w) for w in ws)
                 for i, ws in doc.get("valuation", {}).items()}
 
+    def gamma():
+        fams = {check_world(w): fam for w, fam in doc.get("gamma", {}).items()}
+        return {w: frozenset(frozenset(check_world(v) for v in a)
+                             for a in fams.get(w, []))
+                for w in worlds}
+
     if kind == "classical":
-        nf = {w: frozenset(frozenset(check_world(v) for v in a)
-                           for a in doc.get("gamma", {}).get(w, []))
-              for w in worlds}
-        return NbhdModel(worlds, nf, valuation())
+        return NbhdModel(worlds, gamma(), valuation())
     if kind == "inm":
         leq = closure(doc.get("order", []))
         nbhds = {name: {check_world(w): frozenset(check_world(v) for v in value)
@@ -153,10 +152,7 @@ def _build_model(kind: str, doc: dict):
         return INModel(worlds, leq, nbhds, valuation())
     if kind == "cnm":
         rel = closure(doc.get("preorder", doc.get("order", [])))
-        gamma = {w: frozenset(frozenset(check_world(v) for v in a)
-                              for a in doc.get("gamma", {}).get(w, []))
-                 for w in worlds}
-        return CNModel(worlds, rel, gamma, valuation())
+        return CNModel(worlds, rel, gamma(), valuation())
     if kind == "ik2":
         leq = closure(doc.get("order", []))
         relN = frozenset((check_world(a), check_world(b)) for a, b in doc.get("relN", []))
@@ -179,12 +175,6 @@ def _build_model(kind: str, doc: dict):
 def read_model(path: str, validate: bool = True):
     with open(path, "r", encoding="utf-8") as fh:
         return model_from_doc(json.load(fh), validate=validate)
-
-
-def write_model(path: str, model) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_doc(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

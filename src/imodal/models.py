@@ -4,16 +4,22 @@ neighbourhoods, constructive neighbourhood models, and birelational bimodal
 models, plus the coherence / Cartesian / fullness / frame-condition checks and
 isomorphism search.
 
-Evaluators compute truth sets bottom-up with a per-call memo keyed on
-subformulas, so repeated subformulas cost nothing.  Models are immutable after
-construction; validation never repairs, it reports witnesses.
+Every kind is intuitionistic at its base: one shared core (``_truth_set``)
+evaluates atoms, the connectives and implication along the kind's order (the
+identity for classical models, which makes implication material), and each
+kind supplies only its modal clauses.  Truth sets are computed bottom-up with
+a per-call memo keyed on subformulas, so repeated subformulas cost nothing.
+Models are immutable after construction; validation never repairs, it reports
+witnesses.  ``KINDS`` at the end of the module holds, per kind, the model
+class, dialects, evaluator, validator and check levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, Optional
 
+from .folm import IFOMStructure, eval_modal_ifom, validate_ifom
 from .orders import (equivalence_classes, is_partial_order, is_preorder,
                      is_upward_closed, successors)
 from .syntax import (Atom, And, BiBox, BiDia, Box, Dia, Falsum, Formula,
@@ -88,13 +94,19 @@ class IK2Model:
     val: Mapping
 
 
-def _rel_of(m: IK2Model, index: str) -> frozenset:
-    return m.relN if index == "N" else m.relE
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
+
+def _valuation_violations(worlds, rel, val) -> list:
+    out = []
+    for i, ext in val.items():
+        if not ext <= worlds:
+            out.append(("valuation-out-of-domain", i))
+        elif not is_upward_closed(worlds, rel, ext):
+            out.append(("valuation-not-an-upset", i))
+    return out
+
 
 def validate_nbhd(m: NbhdModel) -> list:
     out = []
@@ -104,10 +116,7 @@ def validate_nbhd(m: NbhdModel) -> list:
         for a in fam:
             if not a <= m.worlds:
                 out.append(("nf-value-out-of-domain", w, tuple(sorted(a - m.worlds, key=str))))
-    for i, ext in m.val.items():
-        if not ext <= m.worlds:
-            out.append(("valuation-out-of-domain", i))
-    return out
+    return out + _valuation_violations(m.worlds, frozenset(), m.val)  # no order
 
 
 def validate_inm(m: INModel) -> list:
@@ -126,12 +135,7 @@ def validate_inm(m: INModel) -> list:
         for w, value in a.items():
             if not value <= m.worlds:
                 out.append(("value-out-of-domain", name, w))
-    for i, ext in m.val.items():
-        if not ext <= m.worlds:
-            out.append(("valuation-out-of-domain", i))
-        elif not is_upward_closed(m.worlds, m.leq, ext):
-            out.append(("valuation-not-an-upset", i))
-    return out
+    return out + _valuation_violations(m.worlds, m.leq, m.val)
 
 
 def validate_cnm(m: CNModel) -> list:
@@ -145,12 +149,7 @@ def validate_cnm(m: CNModel) -> list:
         for a in fam:
             if not a <= m.worlds:
                 out.append(("gamma-value-out-of-domain", w))
-    for i, ext in m.val.items():
-        if not ext <= m.worlds:
-            out.append(("valuation-out-of-domain", i))
-        elif not is_upward_closed(m.worlds, m.preceq, ext):
-            out.append(("valuation-not-an-upset", i))
-    return out
+    return out + _valuation_violations(m.worlds, m.preceq, m.val)
 
 
 def validate_ik2(m: IK2Model) -> list:
@@ -162,11 +161,7 @@ def validate_ik2(m: IK2Model) -> list:
         for (a, b) in rel:
             if a not in m.worlds or b not in m.worlds:
                 out.append((f"{tag}-unknown-world", a, b))
-    for i, ext in m.val.items():
-        if not ext <= m.worlds:
-            out.append(("valuation-out-of-domain", i))
-        elif not is_upward_closed(m.worlds, m.leq, ext):
-            out.append(("valuation-not-an-upset", i))
+    out.extend(_valuation_violations(m.worlds, m.leq, m.val))
     out.extend(check_ik2_frame(m).witnesses)
     return out
 
@@ -175,167 +170,120 @@ def validate_ik2(m: IK2Model) -> list:
 # Evaluation (truth sets)
 # ---------------------------------------------------------------------------
 
-def _downset(worlds, leq, subset) -> frozenset:
-    return frozenset(w for w in worlds if any((w, v) in leq for v in subset))
+def _ups(worlds, rel) -> dict:
+    return {w: successors(worlds, rel, w) for w in worlds}
 
 
-def _prop_cases(m_worlds, leq, val, phi, rec):
-    """Shared clauses for atoms and connectives over an ordered frame."""
+def _avoiding(up, bad) -> frozenset:
+    """The worlds none of whose successors lie in ``bad``."""
+    return frozenset(w for w, ups in up.items() if ups.isdisjoint(bad))
+
+
+def _truth_set(up, val, modal, phi: Formula, memo: dict) -> frozenset:
+    """The intuitionistic core that every kind shares: atoms, falsum, the
+    connectives, and implication along the order given by ``up`` (world ->
+    up-set).  ``modal(f, t)`` evaluates a modal node ``f`` whose body has the
+    truth set ``t``; the kinds differ only in that function."""
+    result = memo.get(phi)
+    if result is not None:
+        return result
     if isinstance(phi, Atom):
-        return frozenset(val.get(phi.index, frozenset()))
-    if isinstance(phi, Falsum):
-        return frozenset()
-    if isinstance(phi, And):
-        return rec(phi.left) & rec(phi.right)
-    if isinstance(phi, Or):
-        return rec(phi.left) | rec(phi.right)
-    if isinstance(phi, Implies):
-        x, y = rec(phi.left), rec(phi.right)
-        return m_worlds - _downset(m_worlds, leq, x - y)
-    return None
+        result = frozenset(val.get(phi.index, frozenset()))
+    elif isinstance(phi, Falsum):
+        result = frozenset()
+    elif isinstance(phi, (And, Or, Implies)):
+        x = _truth_set(up, val, modal, phi.left, memo)
+        y = _truth_set(up, val, modal, phi.right, memo)
+        if isinstance(phi, And):
+            result = x & y
+        elif isinstance(phi, Or):
+            result = x | y
+        else:
+            result = _avoiding(up, x - y)
+    else:
+        result = modal(phi, _truth_set(up, val, modal, phi.sub, memo))
+    memo[phi] = result
+    return result
 
 
 def truth_set_classical(m: NbhdModel, phi: Formula, memo: dict = None) -> frozenset:
-    if memo is None:
-        memo = {}
+    def modal(f, t):
+        if isinstance(f, Box):
+            return frozenset(w for w in m.worlds
+                             if any(a <= t for a in m.nf.get(w, frozenset())))
+        if isinstance(f, Dia):
+            return frozenset(w for w in m.worlds
+                             if all(a & t for a in m.nf.get(w, frozenset())))
+        raise TypeError(f"not a modal-dialect formula: {f!r}")
 
-    def rec(f):
-        if f in memo:
-            return memo[f]
-        if isinstance(f, Atom):
-            result = frozenset(m.val.get(f.index, frozenset()))
-        elif isinstance(f, Falsum):
-            result = frozenset()
-        elif isinstance(f, And):
-            result = rec(f.left) & rec(f.right)
-        elif isinstance(f, Or):
-            result = rec(f.left) | rec(f.right)
-        elif isinstance(f, Implies):
-            result = (m.worlds - rec(f.left)) | rec(f.right)  # material
-        elif isinstance(f, Box):
-            t = rec(f.sub)
-            result = frozenset(w for w in m.worlds
-                               if any(a <= t for a in m.nf.get(w, frozenset())))
-        elif isinstance(f, Dia):
-            t = rec(f.sub)
-            result = frozenset(w for w in m.worlds
-                               if all(a & t for a in m.nf.get(w, frozenset())))
-        else:
-            raise TypeError(f"not a modal-dialect formula: {f!r}")
-        memo[f] = result
-        return result
-
-    return rec(phi)
-
-
-def eval_classical(m: NbhdModel, w, phi: Formula) -> bool:
-    if w not in m.worlds:
-        raise ModelError(f"unknown world {w!r}")
-    return w in truth_set_classical(m, phi)
+    # every world sees only itself, so implication is material
+    up = {w: frozenset((w,)) for w in m.worlds}
+    return _truth_set(up, m.val, modal, phi, {} if memo is None else memo)
 
 
 def truth_set_inm(m: INModel, phi: Formula, memo: dict = None) -> frozenset:
-    up = {w: successors(m.worlds, m.leq, w) for w in m.worlds}
-    if memo is None:
-        memo = {}
+    up = _ups(m.worlds, m.leq)
 
-    def rec(f):
-        if f in memo:
-            return memo[f]
-        result = _prop_cases(m.worlds, m.leq, m.val, f, rec)
-        if result is None:
-            t = rec(f.sub)
-            if isinstance(f, Box):
-                # one neighbourhood whose values stay inside t at all successors
-                good = set()
-                for a in m.nbhds.values():
-                    for w in a:
-                        if all(a[v] <= t for v in up[w] if v in a):
-                            good.add(w)
-                result = frozenset(good)
-            elif isinstance(f, Dia):
-                # fails wherever some successor has a neighbourhood missing t
-                bad = {w for a in m.nbhds.values()
-                       for w, value in a.items() if not (value & t)}
-                result = m.worlds - _downset(m.worlds, m.leq, bad)
-            else:
-                raise TypeError(f"not a modal-dialect formula: {f!r}")
-        memo[f] = result
-        return result
+    def modal(f, t):
+        if isinstance(f, Box):
+            # one neighbourhood whose values stay inside t at all successors
+            return frozenset(w for a in m.nbhds.values() for w in a
+                             if all(a[v] <= t for v in up[w] if v in a))
+        if isinstance(f, Dia):
+            # fails wherever some successor has a neighbourhood missing t
+            return _avoiding(up, {w for a in m.nbhds.values()
+                                  for w, value in a.items() if not (value & t)})
+        raise TypeError(f"not a modal-dialect formula: {f!r}")
 
-    return rec(phi)
-
-
-def eval_inm(m: INModel, w, phi: Formula) -> bool:
-    if w not in m.worlds:
-        raise ModelError(f"unknown world {w!r}")
-    return w in truth_set_inm(m, phi)
+    return _truth_set(up, m.val, modal, phi, {} if memo is None else memo)
 
 
 def truth_set_cnm(m: CNModel, phi: Formula, memo: dict = None) -> frozenset:
-    if memo is None:
-        memo = {}
-
-    def rec(f):
-        if f in memo:
-            return memo[f]
-        result = _prop_cases(m.worlds, m.preceq, m.val, f, rec)
-        if result is None:
-            t = rec(f.sub)
-            if isinstance(f, (Box, Nabla)):
-                witnessed = frozenset(w for w in m.worlds
-                                      if any(a <= t for a in m.gamma.get(w, frozenset())))
-                result = m.worlds - _downset(m.worlds, m.preceq, m.worlds - witnessed)
-            elif isinstance(f, Dia):
-                bad = frozenset(w for w in m.worlds
-                                if any(not (a & t) for a in m.gamma.get(w, frozenset())))
-                result = m.worlds - _downset(m.worlds, m.preceq, bad)
-            else:
-                raise TypeError(f"not a box/diamond/nabla formula: {f!r}")
-        memo[f] = result
-        return result
-
-    return rec(phi)
-
-
-def eval_cnm(m: CNModel, w, phi: Formula) -> bool:
     """Constructive clauses; nabla is evaluated by the box clause."""
-    if w not in m.worlds:
-        raise ModelError(f"unknown world {w!r}")
-    return w in truth_set_cnm(m, phi)
+    up = _ups(m.worlds, m.preceq)
+
+    def modal(f, t):
+        if isinstance(f, (Box, Nabla)):
+            return _avoiding(up, {w for w in m.worlds
+                                  if not any(a <= t for a in m.gamma.get(w, frozenset()))})
+        if isinstance(f, Dia):
+            return _avoiding(up, {w for w in m.worlds
+                                  if any(not (a & t) for a in m.gamma.get(w, frozenset()))})
+        raise TypeError(f"not a box/diamond/nabla formula: {f!r}")
+
+    return _truth_set(up, m.val, modal, phi, {} if memo is None else memo)
 
 
 def truth_set_ik2(m: IK2Model, phi: Formula, memo: dict = None) -> frozenset:
-    if memo is None:
-        memo = {}
+    up = _ups(m.worlds, m.leq)
 
-    def rec(f):
-        if f in memo:
-            return memo[f]
-        result = _prop_cases(m.worlds, m.leq, m.val, f, rec)
-        if result is None:
-            t = rec(f.sub)
-            rel = _rel_of(m, f.index)
-            if isinstance(f, BiBox):
-                result = frozenset(
-                    w for w in m.worlds
-                    if all(z in t for y in m.worlds if (w, y) in m.leq
-                           for z in m.worlds if (y, z) in rel))
-            elif isinstance(f, BiDia):
-                result = frozenset(w for w in m.worlds
-                                   if any((w, y) in rel and y in t for y in m.worlds))
-            else:
-                raise TypeError(f"not a bimodal formula: {f!r}")
-        memo[f] = result
-        return result
+    def modal(f, t):
+        rel = m.relN if f.index == "N" else m.relE
+        if isinstance(f, BiBox):
+            return frozenset(w for w in m.worlds
+                             if all(z in t for y in up[w]
+                                    for z in m.worlds if (y, z) in rel))
+        if isinstance(f, BiDia):
+            return frozenset(w for w in m.worlds
+                             if any((w, y) in rel and y in t for y in m.worlds))
+        raise TypeError(f"not a bimodal formula: {f!r}")
 
-    return rec(phi)
+    return _truth_set(up, m.val, modal, phi, {} if memo is None else memo)
 
 
-def eval_ik2(m: IK2Model, w, phi: Formula) -> bool:
-    if w not in m.worlds:
-        raise ModelError(f"unknown world {w!r}")
-    return w in truth_set_ik2(m, phi)
+def _evaluator(truth_set):
+    def holds(m, w, phi: Formula) -> bool:
+        """Whether ``phi`` holds at world ``w`` of ``m``."""
+        if w not in m.worlds:
+            raise ModelError(f"unknown world {w!r}")
+        return w in truth_set(m, phi)
+    return holds
+
+
+eval_classical = _evaluator(truth_set_classical)
+eval_inm = _evaluator(truth_set_inm)
+eval_cnm = _evaluator(truth_set_cnm)
+eval_ik2 = _evaluator(truth_set_ik2)
 
 
 # ---------------------------------------------------------------------------
@@ -556,3 +504,40 @@ def _match_nbhds(m: INModel, m2: INModel, alpha: Mapping):
         for n1, n2 in zip(sorted(names, key=str), sorted(partners, key=str)):
             nu[n1] = n2
     return nu
+
+
+# ---------------------------------------------------------------------------
+# The kind table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Kind:
+    """Everything the toolkit dispatches on per model kind."""
+
+    model: type
+    dialects: tuple
+    holds: Callable      # (model, point, formula) -> bool
+    truth_set: Optional[Callable]  # (model, formula, memo); None: points are not worlds
+    validate: Callable   # model -> list of violations
+    checks: Mapping = field(default_factory=dict)  # level beyond basic -> CheckReport
+
+
+def _check_full_report(m: CNModel) -> CheckReport:
+    return CheckReport("cnm-full", [] if check_full(m) else [("not-full",)])
+
+
+KINDS = {
+    "inm": Kind(INModel, ("modal",), eval_inm, truth_set_inm, validate_inm,
+                {"coherent": lambda m: check_inm(m, "coherent"),
+                 "cartesian": lambda m: check_inm(m, "cartesian")}),
+    "cnm": Kind(CNModel, ("modal", "nabla"), eval_cnm, truth_set_cnm, validate_cnm,
+                {"full": _check_full_report}),
+    "ik2": Kind(IK2Model, ("bimodal",), eval_ik2, truth_set_ik2, validate_ik2,
+                {"frame": check_ik2_frame}),
+    # ifom formulas are evaluated at (world, state) pairs
+    "ifom": Kind(IFOMStructure, ("modal",),
+                 lambda s, point, phi: eval_modal_ifom(s, point[0], point[1], phi),
+                 None, validate_ifom),
+    "classical": Kind(NbhdModel, ("modal",), eval_classical, truth_set_classical,
+                      validate_nbhd),
+}

@@ -4,11 +4,12 @@ seeded random model generators, and an exhaustive validity sweep.
 Enumeration is deterministic and restartable: worlds are labelled ``0..n-1``,
 partial orders are generated as transitive strict relations compatible with
 the integer order (every finite poset has such a labelling, so the searched
-space is exhaustive up to isomorphism), upsets are generated directly rather
-than filtered from all subsets, and neighbourhood value maps are enumerated
-pointwise.  ``find_countermodel`` returns the first hit in enumeration order;
-with several workers the space is partitioned by cell and the globally least
-hit is reported, so outcomes do not depend on the worker count.
+space is exhaustive up to isomorphism), upsets are the upward-closed subsets
+of the order (partial or pre-), and neighbourhood value maps are enumerated
+pointwise.  Formulas are evaluated through the kind table ``models.KINDS``.
+``find_countermodel`` returns the first hit in enumeration order; with
+several workers the space is partitioned by cell and the globally least hit
+is reported, so outcomes do not depend on the worker count.
 
 The bit-sliced sweep (``sweep_inm_validity``) checks a batch of formulas for
 validity over every intuitionistic neighbourhood model within bounds.  For
@@ -28,16 +29,17 @@ import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .folm import FOMStructure, IFOMStructure, eval_modal_ifom
+from . import models
+from .folm import FOMStructure, IFOMStructure
 from .models import (CNModel, IK2Model, INModel, NbhdModel, check_ik2_frame,
-                     check_full, check_inm, eval_inm, truth_set_classical,
-                     truth_set_cnm, truth_set_ik2, truth_set_inm)
+                     check_full, check_inm, eval_inm)
+from .orders import is_transitive, is_upward_closed, reflexive_transitive_closure
 from .syntax import (And, Atom, Box, Consecution, Dia, FALSUM, Falsum, Formula,
                      Implies, Nabla, Or, in_dialect)
 
-KINDS = ("inm", "cnm", "ik2", "ifom", "classical")
+KINDS = tuple(models.KINDS)
 
 
 @dataclass(frozen=True)
@@ -68,19 +70,6 @@ class NoneWithinBounds:
     timed_out: bool = False
 
 
-@dataclass
-class RefutedAt:
-    model: object
-    world: object
-
-
-@dataclass
-class UnrefutedWithinBounds:
-    examined: int
-    elapsed: float
-    timed_out: bool = False
-
-
 # ---------------------------------------------------------------------------
 # Frames: posets and upsets
 # ---------------------------------------------------------------------------
@@ -92,8 +81,7 @@ def strict_posets(n: int) -> list:
     out = []
     for mask in range(1 << len(pairs)):
         strict = frozenset(pairs[k] for k in range(len(pairs)) if mask >> k & 1)
-        if all((a, c) in strict
-               for (a, b) in strict for (b2, c) in strict if b2 == b):
+        if is_transitive(strict):
             out.append(strict)
     return out
 
@@ -103,37 +91,14 @@ def reflexive(n: int, strict) -> frozenset:
 
 
 def upsets_of_poset(n: int, leq) -> list:
-    """All upsets, generated directly: deciding worlds from the top of the
-    integer order down, a world may join only if its successors already did."""
-    out = []
-    chosen: set = set()
-
-    def go(w: int):
-        if w < 0:
-            out.append(frozenset(chosen))
-            return
-        go(w - 1)
-        if all(v in chosen for v in range(w + 1, n) if (w, v) in leq):
-            chosen.add(w)
-            go(w - 1)
-            chosen.discard(w)
-
-    go(n - 1)
-    return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+    """The subsets of 0..n-1 closed upward along ``leq`` (a partial order or a
+    preorder), smallest first."""
+    return sorted((s for s in _subsets(n) if is_upward_closed(range(n), leq, s)),
+                  key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def _subsets(n: int) -> list:
     return [frozenset(j for j in range(n) if m >> j & 1) for m in range(1 << n)]
-
-
-def _upward_closed_sets(worlds, rel) -> list:
-    out = []
-    items = sorted(worlds)
-    for mask in range(1 << len(items)):
-        s = frozenset(items[k] for k in range(len(items)) if mask >> k & 1)
-        if all(v in s for w in s for v in worlds if (w, v) in rel):
-            out.append(s)
-    return sorted(out, key=lambda s: (len(s), tuple(sorted(s, key=str))))
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +114,7 @@ def _cells(kind: str, bounds: SearchBounds) -> list:
             offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
             for mask in range(1 << len(offdiag)):
                 extra = frozenset(offdiag[k] for k in range(len(offdiag)) if mask >> k & 1)
-                rel = reflexive(n, extra)
-                if all((a, c) in rel for (a, b) in rel for (b2, c) in rel if b2 == b):
+                if is_transitive(reflexive(n, extra)):
                     out.append((n, extra))
         return out
     out = []
@@ -203,7 +167,7 @@ def _models_in_cell(kind: str, bounds: SearchBounds, cell) -> Iterator:
     elif kind == "cnm":
         rel = reflexive(n, extra)
         worlds = frozenset(range(n))
-        upsets = _upward_closed_sets(range(n), rel)
+        upsets = upsets_of_poset(n, rel)
         subsets = _subsets(n)
         per_world = [frozenset(sel) for r in range(bounds.max_nbhds + 1)
                      for sel in itertools.combinations(subsets, r)]
@@ -221,14 +185,14 @@ def _models_in_cell(kind: str, bounds: SearchBounds, cell) -> Iterator:
         all_pairs = [(i, j) for i in range(n) for j in range(n)]
         rels = [frozenset(all_pairs[k] for k in range(len(all_pairs)) if mask >> k & 1)
                 for mask in range(1 << len(all_pairs))]
-        for relN in rels:
-            for relE in rels:
-                m0 = IK2Model(worlds, leq, relN, relE, {})
-                if not check_ik2_frame(m0).ok:
-                    continue
-                for vals in itertools.product(upsets, repeat=bounds.max_atoms):
-                    yield IK2Model(worlds, leq, relN, relE,
-                                   {i: vals[i] for i in range(bounds.max_atoms)})
+        # the frame conditions constrain N and E separately, so the pairs
+        # that pass are the products of the relations that pass alone
+        rels = [r for r in rels
+                if check_ik2_frame(IK2Model(worlds, leq, r, frozenset(), {})).ok]
+        for relN, relE in itertools.product(rels, repeat=2):
+            for vals in itertools.product(upsets, repeat=bounds.max_atoms):
+                yield IK2Model(worlds, leq, relN, relE,
+                               {i: vals[i] for i in range(bounds.max_atoms)})
     elif kind == "ifom":
         yield from _ifom_in_cell(bounds, n, extra)
     else:
@@ -280,59 +244,42 @@ def _ifom_in_cell(bounds: SearchBounds, n: int, strict) -> Iterator:
     yield from go(0, {})
 
 
-def enumerate_models(kind: str, bounds: SearchBounds, dedup: bool = False) -> Iterator:
+def enumerate_models(kind: str, bounds: SearchBounds) -> Iterator:
     """Deterministic, restartable stream of all models of ``kind`` within the
-    bounds.  ``dedup`` drops isomorphic duplicates (intuitionistic
-    neighbourhood models only; quadratic, meant for small bounds)."""
+    bounds."""
     if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    seen: list = []
     for cell in _cells(kind, bounds):
-        for m in _models_in_cell(kind, bounds, cell):
-            if dedup:
-                if kind != "inm":
-                    raise ValueError("dedup is only supported for inm models")
-                from .models import find_isomorphism
-                if any(find_isomorphism(m, old) for old in seen):
-                    continue
-                seen.append(m)
-            yield m
+        yield from _models_in_cell(kind, bounds, cell)
 
 
 # ---------------------------------------------------------------------------
 # Countermodel search
 # ---------------------------------------------------------------------------
 
-_EVALUATORS = {
-    "inm": (truth_set_inm, ("modal",)),
-    "classical": (truth_set_classical, ("modal",)),
-    "cnm": (truth_set_cnm, ("modal", "nabla")),
-    "ik2": (truth_set_ik2, ("bimodal",)),
-}
-
-
 def _violating_world(kind: str, model, consec: Consecution):
-    """Least world (by label) satisfying the context but not the conclusion."""
-    if kind == "ifom":
+    """Least point (by label) satisfying the context but not the conclusion."""
+    spec = models.KINDS[kind]
+    if spec.truth_set is None:  # ifom: the points are (world, state) pairs
         pairs = sorted(((w, x) for w in model.worlds for x in model.interp[w].states),
                        key=str)
-        for (w, x) in pairs:
-            if all(eval_modal_ifom(model, w, x, g) for g in consec.context) \
-                    and not eval_modal_ifom(model, w, x, consec.conclusion):
-                return (w, x)
+        for point in pairs:
+            if all(spec.holds(model, point, g) for g in consec.context) \
+                    and not spec.holds(model, point, consec.conclusion):
+                return point
         return None
-    truth_set, _ = _EVALUATORS[kind]
+    memo: dict = {}
     good = model.worlds
     for g in sorted(consec.context, key=str):
-        good = good & truth_set(model, g)
+        good = good & spec.truth_set(model, g, memo)
         if not good:
             return None
-    bad = good - truth_set(model, consec.conclusion)
+    bad = good - spec.truth_set(model, consec.conclusion, memo)
     return min(bad, key=str) if bad else None
 
 
 def _check_dialect(kind: str, consec: Consecution) -> None:
-    dialects = ("modal",) if kind == "ifom" else _EVALUATORS[kind][1]
+    dialects = models.KINDS[kind].dialects
     for f in set(consec.context) | {consec.conclusion}:
         if not any(in_dialect(f, d) for d in dialects):
             raise ValueError(f"formula dialect does not match model kind {kind!r}")
@@ -390,18 +337,6 @@ def find_countermodel(consec: Consecution, kind: str, bounds: SearchBounds,
     return NoneWithinBounds(examined, time.monotonic() - start, timed_out)
 
 
-def oracle_consequence(context: Iterable[Formula], phi: Formula, kind: str,
-                       bounds: SearchBounds, timeout_ms: Optional[int] = None,
-                       workers: int = 1):
-    """Bounded refutation oracle: a found counterexample refutes the
-    consequence; exhausting the bounds certifies nothing beyond them."""
-    consec = Consecution(frozenset(context), phi)
-    result = find_countermodel(consec, kind, bounds, timeout_ms, workers)
-    if isinstance(result, CounterexampleFound):
-        return RefutedAt(result.model, result.world)
-    return UnrefutedWithinBounds(result.examined, result.elapsed, result.timed_out)
-
-
 # ---------------------------------------------------------------------------
 # Random model generators (seeded)
 # ---------------------------------------------------------------------------
@@ -409,15 +344,7 @@ def oracle_consequence(context: Iterable[Formula], phi: Formula, kind: str,
 def random_poset(rng, n: int, edge_prob: float = 0.4) -> frozenset:
     strict = {(i, j) for i in range(n) for j in range(i + 1, n)
               if rng.random() < edge_prob}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(strict):
-            for (b2, c) in list(strict):
-                if b2 == b and (a, c) not in strict:
-                    strict.add((a, c))
-                    changed = True
-    return reflexive(n, frozenset(strict))
+    return reflexive_transitive_closure(range(n), strict)
 
 
 def _random_upset(rng, worlds, leq) -> frozenset:
@@ -469,16 +396,7 @@ def random_cnm(rng, bounds: SearchBounds) -> CNModel:
     worlds = frozenset(range(n))
     extra = {(i, j) for i in range(n) for j in range(n)
              if i != j and rng.random() < 0.3}
-    rel = set(reflexive(n, frozenset(extra)))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for (b2, c) in list(rel):
-                if b2 == b and (a, c) not in rel:
-                    rel.add((a, c))
-                    changed = True
-    rel = frozenset(rel)
+    rel = reflexive_transitive_closure(range(n), extra)
     gamma = {w: frozenset(frozenset(v for v in worlds if rng.random() < 0.5)
                           for _ in range(rng.randint(0, bounds.max_nbhds)))
              for w in worlds}

@@ -206,11 +206,21 @@ def _tokenize(text: str):
     return tokens
 
 
+# Deepest formula the parser accepts, counting ``~``, modalities, parentheses
+# and binary operators.  Printing, hashing and evaluating recurse once or
+# twice per level, and the parser itself six times per parenthesis, so this
+# keeps them all inside Python's default recursion limit of 1000.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; every method returns a formula with its depth."""
+
     def __init__(self, tokens, dialect: str):
         self.tokens = tokens
         self.pos = 0
         self.dialect = dialect
+        self.depth = 0  # levels open around the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -226,50 +236,67 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
         return tok
 
-    def parse_formula(self) -> Formula:
-        left = self.parse_disjunction()
+    def check(self, depth: int, pos: int) -> int:
+        if self.depth + depth > MAX_DEPTH:
+            raise FormulaSyntaxError(f"formula nested more than {MAX_DEPTH} deep", pos)
+        return depth
+
+    def nested(self, parse, pos: int):
+        """Parse one level deeper than the current token."""
+        self.depth += 1
+        self.check(0, pos)
+        node, depth = parse()
+        self.depth -= 1
+        return node, self.check(depth + 1, pos)
+
+    def parse_formula(self):
+        left, depth = self.parse_disjunction()
         if self.peek()[:2] == ("op", "->"):
-            self.advance()
-            right = self.parse_formula()  # right-associative
-            return Implies(left, right)
-        return left
+            pos = self.advance()[2]
+            right, rdepth = self.nested(self.parse_formula, pos)  # right-associative
+            return Implies(left, right), self.check(max(depth + 1, rdepth), pos)
+        return left, depth
 
-    def parse_disjunction(self) -> Formula:
-        node = self.parse_conjunction()
+    def parse_disjunction(self):
+        node, depth = self.parse_conjunction()
         while self.peek()[:2] == ("op", "|"):
-            self.advance()
-            node = Or(node, self.parse_conjunction())
-        return node
+            pos = self.advance()[2]
+            right, rdepth = self.parse_conjunction()
+            node, depth = Or(node, right), self.check(max(depth, rdepth) + 1, pos)
+        return node, depth
 
-    def parse_conjunction(self) -> Formula:
-        node = self.parse_unary()
+    def parse_conjunction(self):
+        node, depth = self.parse_unary()
         while self.peek()[:2] == ("op", "&"):
-            self.advance()
-            node = And(node, self.parse_unary())
-        return node
+            pos = self.advance()[2]
+            right, rdepth = self.parse_unary()
+            node, depth = And(node, right), self.check(max(depth, rdepth) + 1, pos)
+        return node, depth
 
-    def parse_unary(self) -> Formula:
+    def parse_unary(self):
         kind, value, pos = self.peek()
         if kind == "op" and value == "~":
             self.advance()
-            return neg(self.parse_unary())
+            sub, depth = self.nested(self.parse_unary, pos)
+            return neg(sub), depth
         if kind == "mod":
             required, build = _MODAL_TOKENS[value]
             if required != self.dialect:
                 raise FormulaSyntaxError(
                     f"modality {value!r} is not part of the {self.dialect} dialect", pos)
             self.advance()
-            return build(self.parse_unary())
+            sub, depth = self.nested(self.parse_unary, pos)
+            return build(sub), depth
         return self.parse_atom()
 
-    def parse_atom(self) -> Formula:
+    def parse_atom(self):
         kind, value, pos = self.advance()
         if kind == "atom":
-            return Atom(value)
+            return Atom(value), 0
         if kind == "const":
-            return FALSUM if value == "F" else TRUE
+            return (FALSUM, 0) if value == "F" else (TRUE, 1)
         if kind == "lpar":
-            node = self.parse_formula()
+            node = self.nested(self.parse_formula, pos)
             self.expect("rpar")
             return node
         raise FormulaSyntaxError(f"unexpected token {value!r}", pos)
@@ -284,7 +311,7 @@ def parse(text: str, dialect: str = "modal") -> Formula:
     if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}")
     parser = _Parser(_tokenize(text), dialect)
-    node = parser.parse_formula()
+    node, _ = parser.parse_formula()
     tok = parser.peek()
     if tok[0] != "end":
         raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])

@@ -159,7 +159,7 @@ def unravel(m: INModel, source, budget: TruncationBudget) -> INModel:
     Worlds are the unravelling paths; a neighbourhood is indexed by a base
     path and a neighbourhood of the base model, defined on the path's
     unravelling-order successors.  Reflexive order steps produce genuinely new
-    paths and no deduplication is performed.
+    paths, which are never merged.
 
     The two path parts are bounded separately (rather than by total length)
     because appending a neighbourhood member never extends the order part:

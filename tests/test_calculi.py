@@ -6,7 +6,7 @@ from imodal.calculi import (BASE_SCHEMAS, Derivation, DerivationError, I_DIA,
                             derive_contradiction_pair, derive_translated_i_dia,
                             derive_translated_neg_a, el, macro_mon, macro_str,
                             match_axiom, mon, mp, weaken)
-from imodal.search import SearchBounds, UnrefutedWithinBounds, oracle_consequence
+from imodal.search import NoneWithinBounds, SearchBounds, find_countermodel
 from imodal.syntax import (Atom, Implies, consecution, parse, show, substitute,
                            translate_bimodal)
 
@@ -296,6 +296,5 @@ class TestSoundnessBridge:
             if key in seen:
                 continue
             seen.add(key)
-            result = oracle_consequence(consec.context, consec.conclusion,
-                                        "inm", bounds)
-            assert isinstance(result, UnrefutedWithinBounds), show(consec.conclusion)
+            result = find_countermodel(consec, "inm", bounds)
+            assert isinstance(result, NoneWithinBounds), show(consec.conclusion)

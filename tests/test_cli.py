@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imodal.cli import main
 from imodal import docio
 from imodal.calculi import IM_CALC, ax
-from imodal.syntax import Atom, parse
+from imodal.syntax import DIALECTS, Atom, parse
 
 DATA = "src/imodal/data"
 
@@ -27,6 +33,39 @@ class TestParseCommand:
     def test_error_exit_code(self, capsys):
         code, _, err = run(capsys, "parse", "p0 &")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("text", ["~" * 3000 + "p0", "(" * 1200],
+                             ids=["negations", "parentheses"])
+    def test_deep_nesting_exit_code(self, capsys, text):
+        code, _, err = run(capsys, "parse", text)
+        assert code == 2 and "nested more than" in err
+
+
+# the formula vocabulary, a few of its fragments, and the UTF-8 synonyms
+TOKENS = ["p0", "p1", "p", "1", "F", "T", "~", "&", "|", "->", "-", ">", "(", ")",
+          "[]", "<>", "[", "]", "<", "nabla", "[N]", "<E>", "N", "E", " ",
+          "□", "◇", "▽", "⊥", "⊤", "¬", "∧", "∨", "→"]
+
+
+def _exit_code(argv) -> int:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse's usage errors, e.g. text "-> p0"
+            return exc.code
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(prefix=st.tuples(st.sampled_from(["~", "(", "[]", "p0 & ", "p0 -> "]),
+                        st.integers(0, 400)),
+       body=st.lists(st.sampled_from(TOKENS), max_size=30),
+       dialect=st.sampled_from(DIALECTS))
+def test_parse_exit_code_contract(prefix, body, dialect):
+    unit, count = prefix
+    text = unit * count + "".join(body)
+    assert _exit_code(["parse", "--dialect", dialect, text]) in (0, 2)
+    assert _exit_code(["parse", text]) in (0, 2)
 
 
 class TestEvalCommand:
@@ -80,6 +119,22 @@ class TestCheckModelCommand:
         assert code == 1
         report = json.loads(out)[0]
         assert report["status"] == "fail" and report["witnesses"]
+
+    def test_non_object_document(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps([{"kind": "inm", "worlds": ["w"]}]))
+        code, out, err = run(capsys, "check-model", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "JSON object" in err
+
+    @pytest.mark.parametrize("kind", ["classical", "cnm"])
+    def test_gamma_of_unknown_world(self, tmp_path, capsys, kind):
+        doc = {"kind": kind, "worlds": ["w"], "gamma": {"zz": [["w"]]}, "valuation": {}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check-model", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "'zz'" in err
 
     def test_invalid_document_rejected_on_eval(self, tmp_path, capsys):
         doc = {"kind": "inm", "worlds": ["w"], "order": [],

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -6,13 +8,13 @@ import sys
 import pytest
 
 import imodal
+from imodal import docio
 from imodal.models import (check_full, check_ik2_frame, check_inm, eval_cnm,
                            eval_inm, validate_cnm, validate_inm)
 from imodal.folm import validate_ifom
-from imodal.search import (CounterexampleFound, NoneWithinBounds, RefutedAt,
-                           SearchBounds, UnrefutedWithinBounds,
+from imodal.search import (CounterexampleFound, NoneWithinBounds, SearchBounds,
                            enumerate_models, find_countermodel,
-                           oracle_consequence, random_cnm, random_coherent_inm,
+                           random_cnm, random_coherent_inm,
                            random_formula, random_ifom, random_inm,
                            strict_posets, sweep_inm_validity, upsets_of_poset)
 from imodal.syntax import (FALSUM, Atom, Box, Dia, Implies, consecution, parse,
@@ -27,6 +29,23 @@ def _run_python(code: str, **env) -> str:
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     return done.stdout.strip()
+
+
+# Per kind: bounds, stream length, and the sha256 of the stream's canonical
+# documents, recorded before the kind table and the shared upset generator
+# replaced the per-kind enumeration code.
+STREAM_DIGESTS = {
+    "ik2": ((2, 0, 2), 4841,
+            "29558491fbcb6bfe2990249da2e056b8e7df964ba4062c7f9975d8dd65301007"),
+    "inm": ((2, 2, 1), 2014,
+            "eb738c9487c06fc6bff15bca1a736f3c91348773c76aebbe260e84d1c35a0058"),
+    "cnm": ((2, 1, 1), 306,
+            "a35482c2b7cfd2847e389d5fd575e2ab828ee3ef29477dbad7fecb2991207b18"),
+    "classical": ((2, 2, 1), 470,
+                  "1b7f0623ab3822656b48901dfceb2ec592c90bb9b9efc646ad29bef9eba234e7"),
+    "ifom": ((2, 1, 1), 9434,
+             "55ac83a25674a95d752add9d76e34b85d3034823918c87b1379430e5ba22dc61"),
+}
 
 
 class TestEnumeration:
@@ -77,17 +96,12 @@ class TestEnumeration:
         second = list(enumerate_models("inm", bounds))
         assert first == second
 
-    def test_dedup_flag(self):
-        bounds = SearchBounds(2, 1, 0)
-        plain = list(enumerate_models("inm", bounds))
-        deduped = list(enumerate_models("inm", bounds, dedup=True))
-        assert len(deduped) < len(plain)
-        from imodal.models import find_isomorphism
-        for i, a in enumerate(deduped):
-            for b in deduped[i + 1:]:
-                assert find_isomorphism(a, b) is None
-        with pytest.raises(ValueError):
-            next(enumerate_models("cnm", bounds, dedup=True))
+    @pytest.mark.parametrize("kind", sorted(STREAM_DIGESTS))
+    def test_enumeration_order_is_pinned(self, kind):
+        bounds, count, digest = STREAM_DIGESTS[kind]
+        docs = [docio.model_to_doc(m) for m in enumerate_models(kind, SearchBounds(*bounds))]
+        assert len(docs) == count
+        assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == digest
 
     def test_posets_are_transitive(self):
         for strict in strict_posets(3):
@@ -96,12 +110,18 @@ class TestEnumeration:
                     if b2 == b:
                         assert (a, c) in strict
 
-    def test_upsets_generated_directly(self):
+    def test_upsets_of_poset(self):
         leq = frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)})
         ups = upsets_of_poset(3, leq)
         assert frozenset({0, 1, 2}) in ups
         assert all(not (0 in u and (1 not in u or 2 not in u)) for u in ups)
         assert len(ups) == 5
+
+    def test_upsets_of_preorder(self):
+        # 0 and 1 are equivalent, both below 2: an upset holding either holds both
+        rel = frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (0, 2), (1, 2)})
+        assert upsets_of_poset(3, rel) == [frozenset(), frozenset({2}),
+                                           frozenset({0, 1, 2})]
 
 
 class TestFindCountermodel:
@@ -177,21 +197,24 @@ class TestFindCountermodel:
 
 
 class TestOracle:
+    """``find_countermodel`` as a bounded consequence oracle."""
+
     def test_element_unrefuted(self):
-        assert isinstance(oracle_consequence([parse("p0")], parse("p0"), "inm",
-                                             SearchBounds(2, 1, 1)),
-                          UnrefutedWithinBounds)
+        assert isinstance(find_countermodel(consecution([parse("p0")], parse("p0")),
+                                            "inm", SearchBounds(2, 1, 1)),
+                          NoneWithinBounds)
 
     def test_atom_refuted(self):
-        result = oracle_consequence([], parse("p0"), "inm", SearchBounds(1, 0, 1))
-        assert isinstance(result, RefutedAt)
+        result = find_countermodel(consecution([], parse("p0")), "inm",
+                                   SearchBounds(1, 0, 1))
+        assert isinstance(result, CounterexampleFound)
 
     def test_box_does_not_force_diamond(self):
         # A neighbourhood with an empty value witnesses the box and refutes
         # the diamond, so the consequence is refutable at one world.
-        result = oracle_consequence([parse("[]p0")], parse("<>p0"), "inm",
-                                    SearchBounds(3, 2, 1))
-        assert isinstance(result, RefutedAt)
+        result = find_countermodel(consecution([parse("[]p0")], parse("<>p0")), "inm",
+                                   SearchBounds(3, 2, 1))
+        assert isinstance(result, CounterexampleFound)
         assert eval_inm(result.model, result.world, parse("[]p0"))
         assert not eval_inm(result.model, result.world, parse("<>p0"))
 

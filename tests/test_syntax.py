@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from imodal.syntax import (And, Atom, BiBox, BiDia, Box, Dia, FALSUM,
-                           FormulaSyntaxError, Implies, Nabla, Or, TRUE,
-                           embed_box, embed_dia, in_dialect, modal_depth, neg,
-                           parse, show, substitute, translate_bimodal)
+from imodal.syntax import (And, Atom, BI_INDICES, BiBox, BiDia, Box, DIALECTS,
+                           Dia, FALSUM, FormulaSyntaxError, Implies, MAX_DEPTH,
+                           Nabla, Or, TRUE, embed_box, embed_dia, in_dialect,
+                           modal_depth, neg, parse, show, substitute,
+                           translate_bimodal)
 
 P0, P1, P2 = Atom(0), Atom(1), Atom(2)
 
@@ -50,6 +53,16 @@ class TestParse:
         with pytest.raises(FormulaSyntaxError):
             parse("p0 q1")
 
+    @pytest.mark.parametrize("unit", ["~", "[]", "(", "p0 & ", "p0 -> "])
+    def test_nesting_limit(self, unit):
+        deep = unit * (MAX_DEPTH + 1) + "p0" + ")" * unit.count("(") * (MAX_DEPTH + 1)
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(deep)
+        assert "nested more than" in str(err.value)
+        assert 0 < err.value.position < len(deep)
+        at_limit = unit * MAX_DEPTH + "p0" + ")" * unit.count("(") * MAX_DEPTH
+        assert parse(show(parse(at_limit))) == parse(at_limit)
+
 
 class TestShow:
     def test_examples(self):
@@ -73,6 +86,31 @@ class TestShow:
         for _ in range(250):
             phi = translate_bimodal(random_formula(rng, 3, 3, "modal"))
             assert parse(show(phi), "bimodal") == phi
+
+
+def formulas(dialect: str):
+    """Formulas of one dialect, built from their constructors."""
+    leaves = st.one_of(st.builds(Atom, st.integers(0, 12)), st.just(FALSUM))
+
+    def extend(sub):
+        binary = [st.builds(c, sub, sub) for c in (And, Or, Implies)]
+        if dialect == "modal":
+            unary = [st.builds(Box, sub), st.builds(Dia, sub)]
+        elif dialect == "nabla":
+            unary = [st.builds(Nabla, sub)]
+        else:
+            unary = [st.builds(c, st.sampled_from(BI_INDICES), sub) for c in (BiBox, BiDia)]
+        return st.one_of(*binary, *unary)
+
+    return st.recursive(leaves, extend, max_leaves=24)
+
+
+@pytest.mark.parametrize("dialect", DIALECTS)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_show_parse_round_trip(dialect, data):
+    phi = data.draw(formulas(dialect))
+    assert parse(show(phi), dialect) == phi
 
 
 class TestSubstitute:
