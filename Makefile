@@ -1,10 +1,15 @@
-.PHONY: test fast bench acceptance reproduce
+.PHONY: test fast check bench acceptance reproduce
 
+# the Tier-1 command
 test:
-	PYTHONPATH=src python -m pytest -q
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 
 fast:
 	PYTHONPATH=src python -m pytest -q -m "not slow"
+
+# the fast tests, then every evaluator against the independent reference semantics
+check: fast
+	python3 bench/reference.py
 
 bench:
 	for w in soundness refute constructions cli; do \

@@ -3,7 +3,9 @@ transform, search, proof, and a reproduce command that replays the shipped
 example documents.
 
 Truth-valued commands exit 0 for true/pass, 1 for false/fail, and 2 on parse
-or validation errors, so shell harnesses need no output parsing.
+or validation errors, so shell harnesses need no output parsing.  ``search``
+is not truth-valued: it exits 0 whenever the search ran, whatever it found,
+and 2 on an error.
 """
 
 from __future__ import annotations
@@ -43,110 +45,70 @@ def _load_model(path: str, validate: bool = True):
 # Evaluation trace
 # ---------------------------------------------------------------------------
 
-def _successors(kind, model, point):
-    if kind == "classical":
-        return [point]
-    if kind == "ifom":
-        w, x = point
-        return [(v, x) for v in sorted(model.worlds, key=str)
-                if (w, v) in model.leq]
-    rel = model.preceq if kind == "cnm" else model.leq
-    return [v for v in sorted(model.worlds, key=str) if (point, v) in rel]
+def _note(exists, found, point, successors) -> str:
+    """The trace note for a clause read as ``(exists, found)`` (see
+    ``models``): whether ``point`` has a witness, or the first successor by
+    label that refutes the clause, with what refutes it there."""
+    if exists:
+        if point not in found:
+            return "no witness"
+        return "witnessed" if found[point] is None else f"witnessed by {found[point]}"
+    v = next((v for v in successors if v in found), None)
+    if v is None:
+        return "holds at every successor"
+    return f"fails at successor [{v}]" + ("" if found[v] is None else f": {found[v]}")
 
 
-def _modal_note(kind, model, point, phi) -> str:
-    holds = models.KINDS[kind].holds
-    sub = phi.sub
-    if kind == "inm":
-        if isinstance(phi, syntax.Box):
-            for name in sorted(model.nbhds, key=str):
-                a = model.nbhds[name]
-                if point in a and all(
-                        all(holds(model, v, sub) for v in a.get(wp, ()))
-                        for wp in _successors(kind, model, point)):
-                    return f"witnessed by neighbourhood {name}"
-            return "no neighbourhood stays inside the truth set at all successors"
-        for wp in _successors(kind, model, point):
-            for name in sorted(model.nbhds, key=str):
-                a = model.nbhds[name]
-                if wp in a and not any(holds(model, v, sub) for v in a[wp]):
-                    return f"fails: neighbourhood {name} at successor {wp} has no member satisfying {show(sub)}"
-        return "every neighbourhood of every successor has a witness"
-    if kind == "cnm":
-        if isinstance(phi, (syntax.Box, syntax.Nabla)):
-            for wp in _successors(kind, model, point):
-                if not any(all(holds(model, v, sub) for v in a)
-                           for a in model.gamma.get(wp, frozenset())):
-                    return f"fails at successor {wp}: no neighbourhood inside the truth set"
-            return "every successor has a covering neighbourhood"
-        for wp in _successors(kind, model, point):
-            for a in model.gamma.get(wp, frozenset()):
-                if not any(holds(model, v, sub) for v in a):
-                    return f"fails at successor {wp}: a neighbourhood misses {show(sub)}"
-        return "every neighbourhood of every successor has a witness"
-    if kind == "ik2":
-        rel = model.relN if phi.index == "N" else model.relE
-        if isinstance(phi, syntax.BiBox):
-            for y in sorted(model.worlds, key=str):
-                if (point, y) in model.leq:
-                    for z in sorted(model.worlds, key=str):
-                        if (y, z) in rel and not holds(model, z, sub):
-                            return f"fails via {point} <= {y} R {z}"
-            return "all relational successors above the point satisfy the body"
-        for y in sorted(model.worlds, key=str):
-            if (point, y) in rel and holds(model, y, sub):
-                return f"witnessed by {y}"
-        return "no relational successor satisfies the body"
-    if kind == "classical":
-        fam = model.nf.get(point, frozenset())
-        if isinstance(phi, syntax.Box):
-            for a in fam:
-                if all(holds(model, v, sub) for v in a):
-                    return "witnessed by a neighbourhood"
-            return "no neighbourhood is contained in the truth set"
-        for a in fam:
-            if not any(holds(model, v, sub) for v in a):
-                return "a neighbourhood has no witness"
-        return "every neighbourhood has a witness"
-    return ""  # ifom: the pair clauses speak for themselves
+def trace_eval(kind, model, point, phi):
+    """Clause-by-clause evaluation tree at the queried point, from one
+    evaluation of ``phi``.  Implications and modal clauses carry a note read
+    from the clause that decided them; an implication that fails is traced
+    at its first failing successor.  Returns ``(value, lines)``."""
+    spec = models.KINDS[kind]
+    if spec.clauses is None:  # ifom: points are (world, state) pairs
+        modal = None
 
+        def holds(p, f):
+            return spec.holds(model, p, f)
 
-def trace_eval(kind, model, point, phi, depth=0, lines=None):
-    """Clause-by-clause evaluation tree at the queried point; modal clauses
-    and implications carry a note naming the deciding world."""
-    if lines is None:
-        lines = []
-    holds = models.KINDS[kind].holds
-    value = holds(model, point, phi)
-    pad = "  " * depth
-    lines.append(f"{pad}[{point}] {show(phi)} : {str(value).lower()}")
-    if isinstance(phi, (syntax.And, syntax.Or)):
-        trace_eval(kind, model, point, phi.left, depth + 1, lines)
-        trace_eval(kind, model, point, phi.right, depth + 1, lines)
-    elif isinstance(phi, syntax.Implies):
-        if kind == "classical":
-            trace_eval(kind, model, point, phi.left, depth + 1, lines)
-            trace_eval(kind, model, point, phi.right, depth + 1, lines)
-        else:
-            failing = [v for v in _successors(kind, model, point)
-                       if holds(model, v, phi.left)
-                       and not holds(model, v, phi.right)]
-            if failing:
-                v = failing[0]
-                lines.append(f"{pad}  fails at successor [{v}]:")
-                trace_eval(kind, model, v, phi.left, depth + 1, lines)
-                trace_eval(kind, model, v, phi.right, depth + 1, lines)
-            else:
-                lines.append(f"{pad}  holds at every successor")
-                trace_eval(kind, model, point, phi.left, depth + 1, lines)
-                trace_eval(kind, model, point, phi.right, depth + 1, lines)
-    elif isinstance(phi, (syntax.Box, syntax.Dia, syntax.Nabla,
-                          syntax.BiBox, syntax.BiDia)):
-        note = _modal_note(kind, model, point, phi)
-        if note:
-            lines.append(f"{pad}  {note}")
-        trace_eval(kind, model, point, phi.sub, depth + 1, lines)
-    return value, lines
+        def successors(p):
+            return [(v, p[1]) for v in sorted(model.worlds, key=str)
+                    if (p[0], v) in model.leq]
+    else:
+        if point not in model.worlds:
+            raise models.ModelError(f"unknown world {point!r}")
+        up, modal = spec.clauses(model)
+        memo: dict = {}
+        models._truth_set(up, model.val, modal, phi, memo)
+
+        def holds(p, f):
+            return p in memo[f]
+
+        def successors(p):
+            return sorted(up[p], key=str)
+
+    lines = []
+
+    def walk(p, f, pad):
+        lines.append(f"{pad}[{p}] {show(f)} : {str(holds(p, f)).lower()}")
+        if isinstance(f, (syntax.And, syntax.Or)):
+            walk(p, f.left, pad + "  ")
+            walk(p, f.right, pad + "  ")
+        elif isinstance(f, syntax.Implies):
+            failing = [v for v in successors(p)
+                       if holds(v, f.left) and not holds(v, f.right)]
+            lines.append(f"{pad}  {_note(False, dict.fromkeys(failing), p, failing)}")
+            at = failing[0] if failing else p
+            walk(at, f.left, pad + "  ")
+            walk(at, f.right, pad + "  ")
+        elif not isinstance(f, (syntax.Atom, syntax.Falsum)):
+            if modal is not None:
+                exists, found = modal(f, memo[f.sub])
+                lines.append(f"{pad}  {_note(exists, found, p, successors(p))}")
+            walk(p, f.sub, pad + "  ")
+
+    walk(point, phi, "")
+    return holds(point, phi), lines
 
 
 # ---------------------------------------------------------------------------
@@ -227,33 +189,26 @@ def _cmd_translate(args) -> int:
 
 def _cmd_transform(args) -> int:
     kind, model = _load_model(args.model, validate=not args.no_validate)
-    budget = transforms.TruncationBudget(coh_levels=args.coh_levels,
-                                         unravel_len=args.unravel_len)
-    name = args.name
     try:
-        if name == "bullet":
-            _expect_kind(kind, "ifom", name)
-            out = transforms.bullet(model)
-        elif name == "circle":
-            _expect_kind(kind, "inm", name)
-            out = transforms.circle(model)
-        elif name == "coh":
-            _expect_kind(kind, "inm", name)
+        budget = transforms.TruncationBudget(coh_levels=args.coh_levels,
+                                             unravel_len=args.unravel_len)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    name = args.name
+    wanted = {"bullet": "ifom", "fullify": "cnm"}.get(name, "inm")
+    if kind != wanted:
+        raise CliError(f"transform {name} expects a {wanted} document, got {kind}")
+    if name == "unravel" and args.source is None:
+        raise CliError("unravel requires --source WORLD")
+    try:
+        if name == "coh":
             out = transforms.coherent_completion(model, budget)
         elif name == "unravel":
-            _expect_kind(kind, "inm", name)
-            if args.source is None:
-                raise CliError("unravel requires --source WORLD")
             out = transforms.unravel(model, args.source, budget)
-        elif name == "hat":
-            _expect_kind(kind, "inm", name)
-            out = transforms.hat(model)
-        elif name == "fullify":
-            _expect_kind(kind, "cnm", name)
-            out = transforms.fullify(model)
-        else:  # star
-            _expect_kind(kind, "inm", name)
-            out = transforms.star(model)
+        else:
+            out = {"bullet": transforms.bullet, "circle": transforms.circle,
+                   "hat": transforms.hat, "fullify": transforms.fullify,
+                   "star": transforms.star}[name](model)
     except transforms.TransformError as exc:
         raise CliError(str(exc)) from exc
     doc = docio.model_to_doc(out)
@@ -270,24 +225,20 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _expect_kind(kind, wanted, name):
-    if kind != wanted:
-        raise CliError(f"transform {name} expects a {wanted} document, got {kind}")
-
-
 def _cmd_search(args) -> int:
     kind = args.kind
     context = [_parse_for_kind(t.strip(), kind) for t in args.context.split(";")
                if t.strip()] if args.context else []
     phi = _parse_for_kind(args.formula, kind)
-    bounds = search.SearchBounds(args.max_worlds, args.max_nbhds, args.max_atoms,
-                                 require_coherent=args.coherent,
-                                 require_cartesian=args.cartesian,
-                                 require_full=args.full)
+    try:
+        bounds = search.SearchBounds(args.max_worlds, args.max_nbhds, args.max_atoms,
+                                     require_coherent=args.coherent,
+                                     require_cartesian=args.cartesian,
+                                     require_full=args.full)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     consec = syntax.consecution(context, phi)
-    result = search.find_countermodel(consec, kind, bounds,
-                                      timeout_ms=args.timeout_ms,
-                                      workers=args.workers)
+    result = search.find_countermodel(consec, kind, bounds, timeout_ms=args.timeout_ms)
     if isinstance(result, search.CounterexampleFound):
         doc = docio.model_to_doc(result.model)
         labels = docio._labelling(result.model.worlds)
@@ -398,8 +349,7 @@ def _cmd_reproduce(args) -> int:
     record("unravelling paths: p1 <=ur p3 and not p1 <=ur p2",
            transforms.leq_ur(fig1, p1, p3) and not transforms.leq_ur(fig1, p1, p2))
     ur = transforms.unravel(fig1, "w", transforms.TruncationBudget(1, 4))
-    from .orders import equivalence_classes
-    uf = equivalence_classes(ur.worlds, models.nbhd_relation(ur))
+    uf = models.r_equivalence(ur)
     record("unravelling paths: p1 and p2 are related by the membership equivalence",
            uf.same(p1, p2))
 
@@ -500,7 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coherent", action="store_true")
     p.add_argument("--cartesian", action="store_true")
     p.add_argument("--full", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--timeout-ms", type=int, default=None)
     p.add_argument("--out", default=None, help="write a found countermodel here")
     p.set_defaults(func=_cmd_search)
@@ -525,7 +474,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, syntax.FormulaSyntaxError, folm.EvaluationError,
-            models.ModelError, calculi.DerivationError, KeyError, ValueError) as exc:
+            models.ModelError, calculi.DerivationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,8 @@ One document format per model kind, tagged by ``kind``: worlds are string
 labels, orders and relations are pair lists (reflexive-transitive closure is
 taken on load), neighbourhoods map names to per-world value lists (the key set
 is the domain), and valuations map atom indices (as strings) to world lists.
-Loading validates with the kind's checker unless told otherwise.
+Loading checks each field's JSON type, naming the field of a mismatch by its
+path, and validates with the kind's checker unless told otherwise.
 """
 
 from __future__ import annotations
@@ -101,11 +102,33 @@ def model_to_doc(model) -> dict:
     return doc
 
 
+_JSON_TYPES = ((dict, "an object"), (list, "a list"), (str, "a string"),
+               (bool, "a boolean"), ((int, float), "a number"), (type(None), "null"))
+
+
+def _typed(value, typ, path: str):
+    """``value`` if it has the JSON type ``typ`` (``dict``, ``list`` or
+    ``str``), or for ``typ=None`` if it is a label (any JSON scalar);
+    otherwise a ``DocumentError`` naming the field ``path``."""
+    if isinstance(value, (dict, list)) if typ is None else not isinstance(value, typ):
+        want = "a label" if typ is None else dict(_JSON_TYPES)[typ]
+        got = next(name for t, name in _JSON_TYPES if isinstance(value, t))
+        raise DocumentError(f"{path}: expected {want}, got {got}")
+    return value
+
+
+def _atom(key: str, path: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise DocumentError(f"{path} key {key!r} is not an atom index") from None
+
+
 def model_from_doc(doc: dict, validate: bool = True):
     if not isinstance(doc, dict):
         raise DocumentError(f"a model document is a JSON object, not {type(doc).__name__}")
     kind = doc.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise DocumentError(f"unknown or missing model kind {kind!r}")
     try:
         model = _build_model(kind, doc)
@@ -119,56 +142,70 @@ def model_from_doc(doc: dict, validate: bool = True):
 
 
 def _build_model(kind: str, doc: dict):
-    worlds = frozenset(doc["worlds"])
+    """The model of a document whose every field has been type-checked;
+    errors name the offending field by its path, such as ``gamma.w[0]``."""
+    worlds = frozenset(_typed(w, str, f"worlds[{i}]")
+                       for i, w in enumerate(_typed(doc["worlds"], list, "worlds")))
 
-    def check_world(w):
-        if w not in worlds:
-            raise DocumentError(f"reference to unknown world {w!r}")
+    def world(w, path):
+        if _typed(w, str, path) not in worlds:
+            raise DocumentError(f"{path}: reference to unknown world {w!r}")
         return w
 
-    def closure(pairs):
-        for (a, b) in pairs:
-            check_world(a)
-            check_world(b)
-        return reflexive_transitive_closure(worlds, {tuple(p) for p in pairs})
+    def local(x, path):  # ifom states and neighbourhoods: any JSON scalar
+        return _typed(x, None, path)
 
-    def valuation():
-        return {int(i): frozenset(check_world(w) for w in ws)
-                for i, ws in doc.get("valuation", {}).items()}
+    def labels(items, path, check=world):
+        return [check(x, f"{path}[{i}]") for i, x in enumerate(_typed(items, list, path))]
+
+    def field(rec, prefix, key, typ):
+        """An optional field, empty when absent."""
+        return _typed(rec.get(key, typ()), typ, prefix + key)
+
+    def pairs(rec, prefix, key, check=world):
+        out = set()
+        for i, p in enumerate(field(rec, prefix, key, list)):
+            path = f"{prefix}{key}[{i}]"
+            if len(_typed(p, list, path)) != 2:
+                raise DocumentError(f"{path}: expected a pair, got {len(p)} items")
+            out.add(tuple(labels(p, path, check)))
+        return frozenset(out)
+
+    def valuation(rec, prefix, key, check=world):
+        return {_atom(i, prefix + key): frozenset(labels(ws, f"{prefix}{key}.{i}", check))
+                for i, ws in field(rec, prefix, key, dict).items()}
 
     def gamma():
-        fams = {check_world(w): fam for w, fam in doc.get("gamma", {}).items()}
-        return {w: frozenset(frozenset(check_world(v) for v in a)
-                             for a in fams.get(w, []))
-                for w in worlds}
+        fams = {world(w, "gamma"): [frozenset(labels(a, f"gamma.{w}[{i}]"))
+                                    for i, a in enumerate(_typed(fam, list, f"gamma.{w}"))]
+                for w, fam in field(doc, "", "gamma", dict).items()}
+        return {w: frozenset(fams.get(w, ())) for w in worlds}
 
     if kind == "classical":
-        return NbhdModel(worlds, gamma(), valuation())
+        return NbhdModel(worlds, gamma(), valuation(doc, "", "valuation"))
+    order = "preorder" if kind == "cnm" and "preorder" in doc else "order"
+    leq = reflexive_transitive_closure(worlds, pairs(doc, "", order))
     if kind == "inm":
-        leq = closure(doc.get("order", []))
-        nbhds = {name: {check_world(w): frozenset(check_world(v) for v in value)
-                        for w, value in fn.items()}
-                 for name, fn in doc.get("neighbourhoods", {}).items()}
-        return INModel(worlds, leq, nbhds, valuation())
+        nbhds = {name: {world(w, f"neighbourhoods.{name}"):
+                        frozenset(labels(value, f"neighbourhoods.{name}.{w}"))
+                        for w, value in _typed(fn, dict, f"neighbourhoods.{name}").items()}
+                 for name, fn in field(doc, "", "neighbourhoods", dict).items()}
+        return INModel(worlds, leq, nbhds, valuation(doc, "", "valuation"))
     if kind == "cnm":
-        rel = closure(doc.get("preorder", doc.get("order", [])))
-        return CNModel(worlds, rel, gamma(), valuation())
+        return CNModel(worlds, leq, gamma(), valuation(doc, "", "valuation"))
     if kind == "ik2":
-        leq = closure(doc.get("order", []))
-        relN = frozenset((check_world(a), check_world(b)) for a, b in doc.get("relN", []))
-        relE = frozenset((check_world(a), check_world(b)) for a, b in doc.get("relE", []))
-        return IK2Model(worlds, leq, relN, relE, valuation())
-    # ifom
-    leq = closure(doc.get("order", []))
+        return IK2Model(worlds, leq, pairs(doc, "", "relN"), pairs(doc, "", "relE"),
+                        valuation(doc, "", "valuation"))
+    records = _typed(doc["interpretation"], dict, "interpretation")
     interp = {}
-    for w in worlds:
-        rec = doc["interpretation"][w]
-        states = frozenset(rec["states"])
-        nbhds = frozenset(rec.get("nbhds", []))
-        relN = frozenset((x, a) for x, a in rec.get("N", []))
-        relE = frozenset((a, x) for a, x in rec.get("E", []))
-        preds = {int(i): frozenset(xs) for i, xs in rec.get("preds", {}).items()}
-        interp[w] = FOMStructure(states, nbhds, relN, relE, preds)
+    for w in sorted(worlds, key=str):
+        prefix = f"interpretation.{w}."
+        rec = _typed(records[w], dict, prefix[:-1])
+        interp[w] = FOMStructure(
+            frozenset(labels(rec["states"], prefix + "states", local)),
+            frozenset(labels(rec.get("nbhds", []), prefix + "nbhds", local)),
+            pairs(rec, prefix, "N", local), pairs(rec, prefix, "E", local),
+            valuation(rec, prefix, "preds", local))
     return IFOMStructure(worlds, leq, interp)
 
 
@@ -197,22 +234,38 @@ def derivation_to_doc(d: calculi.Derivation) -> dict:
 
 def derivation_from_doc(doc: dict, dialect: str) -> calculi.Derivation:
     try:
-        context = frozenset(parse(t, dialect) for t in doc["conclusion"]["context"])
-        formula = parse(doc["conclusion"]["formula"], dialect)
-        premises = tuple(derivation_from_doc(p, dialect) for p in doc.get("premises", []))
-        rule = doc["rule"]
-        certificate = None
-        if rule == "El":
-            certificate = parse(doc["certificate"]["member"], dialect)
-        elif rule == "Ax":
-            cert = doc["certificate"]
-            certificate = (cert["schema"],
-                           tuple(sorted((int(i), parse(t, dialect))
-                                        for i, t in cert.get("subst", {}).items())))
-        return calculi.Derivation(rule, Consecution(context, formula),
-                                  premises, certificate)
+        return _derivation(doc, dialect, "")
     except KeyError as exc:
         raise DocumentError(f"missing derivation field {exc}") from exc
+
+
+def _derivation(doc, dialect: str, prefix: str) -> calculi.Derivation:
+    """The derivation of a type-checked document; ``prefix`` is the path of
+    this node, such as ``premises[0].``."""
+
+    def text(value, path):
+        return parse(_typed(value, str, prefix + path), dialect)
+
+    doc = _typed(doc, dict, prefix[:-1] or "derivation")
+    concl = _typed(doc["conclusion"], dict, prefix + "conclusion")
+    context = frozenset(text(t, f"conclusion.context[{i}]") for i, t in enumerate(
+        _typed(concl["context"], list, prefix + "conclusion.context")))
+    formula = text(concl["formula"], "conclusion.formula")
+    premises = tuple(_derivation(p, dialect, f"{prefix}premises[{i}].") for i, p in enumerate(
+        _typed(doc.get("premises", []), list, prefix + "premises")))
+    rule = _typed(doc["rule"], str, prefix + "rule")
+    certificate = None
+    if rule in ("El", "Ax"):
+        cert = _typed(doc["certificate"], dict, prefix + "certificate")
+    if rule == "El":
+        certificate = text(cert["member"], "certificate.member")
+    elif rule == "Ax":
+        subst = _typed(cert.get("subst", {}), dict, prefix + "certificate.subst")
+        subst = {_atom(i, prefix + "certificate.subst"): text(t, f"certificate.subst.{i}")
+                 for i, t in subst.items()}
+        certificate = (_typed(cert["schema"], str, prefix + "certificate.schema"),
+                       tuple(sorted(subst.items())))
+    return calculi.Derivation(rule, Consecution(context, formula), premises, certificate)
 
 
 def read_derivation(path: str, dialect: str) -> calculi.Derivation:

@@ -7,11 +7,20 @@ isomorphism search.
 Every kind is intuitionistic at its base: one shared core (``_truth_set``)
 evaluates atoms, the connectives and implication along the kind's order (the
 identity for classical models, which makes implication material), and each
-kind supplies only its modal clauses.  Truth sets are computed bottom-up with
-a per-call memo keyed on subformulas, so repeated subformulas cost nothing.
-Models are immutable after construction; validation never repairs, it reports
-witnesses.  ``KINDS`` at the end of the module holds, per kind, the model
-class, dialects, evaluator, validator and check levels.
+kind supplies only its modal clauses.  ``clauses_<kind>(m)`` returns
+``(up, modal)``: ``up`` maps each world to its up-set, and ``modal(f, t)``
+decides a modal node ``f`` whose body holds exactly on ``t``, returning
+``(exists, found)``.  An existential clause (``exists`` true) holds exactly
+at the keys of ``found``, each mapped to its witness; a universal one fails
+exactly at the worlds whose up-set meets the keys of ``found``, each mapped to
+what refutes the clause there.  Named witnesses (neighbourhood names, worlds)
+are the least by label; the unnamed neighbourhoods of classical and
+constructive models map to ``None``.  ``eval --trace`` reads its notes from
+these clauses.  Truth sets are computed bottom-up with a per-call memo keyed
+on subformulas, so repeated subformulas cost nothing.  Models are immutable
+after construction; validation never repairs, it reports witnesses.  ``KINDS``
+at the end of the module holds, per kind, the model class, dialects,
+evaluator, clauses, validator and check levels.
 """
 
 from __future__ import annotations
@@ -182,8 +191,9 @@ def _avoiding(up, bad) -> frozenset:
 def _truth_set(up, val, modal, phi: Formula, memo: dict) -> frozenset:
     """The intuitionistic core that every kind shares: atoms, falsum, the
     connectives, and implication along the order given by ``up`` (world ->
-    up-set).  ``modal(f, t)`` evaluates a modal node ``f`` whose body has the
-    truth set ``t``; the kinds differ only in that function."""
+    up-set).  ``modal(f, t)`` is the kind's clause for a modal node ``f``
+    whose body has the truth set ``t``; the kinds differ only in that
+    function."""
     result = memo.get(phi)
     if result is not None:
         return result
@@ -201,89 +211,99 @@ def _truth_set(up, val, modal, phi: Formula, memo: dict) -> frozenset:
         else:
             result = _avoiding(up, x - y)
     else:
-        result = modal(phi, _truth_set(up, val, modal, phi.sub, memo))
+        exists, found = modal(phi, _truth_set(up, val, modal, phi.sub, memo))
+        result = frozenset(found) if exists else _avoiding(up, found)
     memo[phi] = result
     return result
 
 
-def truth_set_classical(m: NbhdModel, phi: Formula, memo: dict = None) -> frozenset:
+def _by_label(items, key):
+    """``items`` in reverse label order of ``key``, so that a dict built from
+    them keeps, for each of its keys, the witness with the least label."""
+    return sorted(items, key=lambda item: str(key(item)), reverse=True)
+
+
+def clauses_classical(m: NbhdModel):
     def modal(f, t):
         if isinstance(f, Box):
-            return frozenset(w for w in m.worlds
-                             if any(a <= t for a in m.nf.get(w, frozenset())))
+            return True, {w: None for w in m.worlds
+                          if any(a <= t for a in m.nf.get(w, frozenset()))}
         if isinstance(f, Dia):
-            return frozenset(w for w in m.worlds
-                             if all(a & t for a in m.nf.get(w, frozenset())))
+            return False, {w: None for w in m.worlds
+                           if any(not (a & t) for a in m.nf.get(w, frozenset()))}
         raise TypeError(f"not a modal-dialect formula: {f!r}")
 
     # every world sees only itself, so implication is material
-    up = {w: frozenset((w,)) for w in m.worlds}
-    return _truth_set(up, m.val, modal, phi, {} if memo is None else memo)
+    return {w: frozenset((w,)) for w in m.worlds}, modal
 
 
-def truth_set_inm(m: INModel, phi: Formula, memo: dict = None) -> frozenset:
+def clauses_inm(m: INModel):
     up = _ups(m.worlds, m.leq)
+    named = _by_label(m.nbhds.items(), lambda kv: kv[0])
 
     def modal(f, t):
         if isinstance(f, Box):
             # one neighbourhood whose values stay inside t at all successors
-            return frozenset(w for a in m.nbhds.values() for w in a
-                             if all(a[v] <= t for v in up[w] if v in a))
+            return True, {w: name for name, a in named for w in a
+                          if all(a[v] <= t for v in up[w] if v in a)}
         if isinstance(f, Dia):
             # fails wherever some successor has a neighbourhood missing t
-            return _avoiding(up, {w for a in m.nbhds.values()
-                                  for w, value in a.items() if not (value & t)})
+            return False, {w: name for name, a in named
+                           for w, value in a.items() if not (value & t)}
         raise TypeError(f"not a modal-dialect formula: {f!r}")
 
-    return _truth_set(up, m.val, modal, phi, {} if memo is None else memo)
+    return up, modal
 
 
-def truth_set_cnm(m: CNModel, phi: Formula, memo: dict = None) -> frozenset:
+def clauses_cnm(m: CNModel):
     """Constructive clauses; nabla is evaluated by the box clause."""
-    up = _ups(m.worlds, m.preceq)
 
     def modal(f, t):
         if isinstance(f, (Box, Nabla)):
-            return _avoiding(up, {w for w in m.worlds
-                                  if not any(a <= t for a in m.gamma.get(w, frozenset()))})
+            return False, {w: None for w in m.worlds
+                           if not any(a <= t for a in m.gamma.get(w, frozenset()))}
         if isinstance(f, Dia):
-            return _avoiding(up, {w for w in m.worlds
-                                  if any(not (a & t) for a in m.gamma.get(w, frozenset()))})
+            return False, {w: None for w in m.worlds
+                           if any(not (a & t) for a in m.gamma.get(w, frozenset()))}
         raise TypeError(f"not a box/diamond/nabla formula: {f!r}")
 
-    return _truth_set(up, m.val, modal, phi, {} if memo is None else memo)
+    return _ups(m.worlds, m.preceq), modal
 
 
-def truth_set_ik2(m: IK2Model, phi: Formula, memo: dict = None) -> frozenset:
-    up = _ups(m.worlds, m.leq)
+def clauses_ik2(m: IK2Model):
+    rels = {j: _by_label(rel, lambda pair: pair[1])
+            for j, rel in (("N", m.relN), ("E", m.relE))}
 
     def modal(f, t):
-        rel = m.relN if f.index == "N" else m.relE
         if isinstance(f, BiBox):
-            return frozenset(w for w in m.worlds
-                             if all(z in t for y in up[w]
-                                    for z in m.worlds if (y, z) in rel))
+            # fails wherever some successor has an R_j-successor outside t
+            return False, {y: z for y, z in rels[f.index] if z not in t}
         if isinstance(f, BiDia):
-            return frozenset(w for w in m.worlds
-                             if any((w, y) in rel and y in t for y in m.worlds))
+            return True, {w: y for w, y in rels[f.index] if y in t}
         raise TypeError(f"not a bimodal formula: {f!r}")
 
-    return _truth_set(up, m.val, modal, phi, {} if memo is None else memo)
+    return _ups(m.worlds, m.leq), modal
 
 
-def _evaluator(truth_set):
+def _evaluators(clauses):
+    def truth_set(m, phi: Formula, memo: dict = None) -> frozenset:
+        """The worlds of ``m`` where ``phi`` holds; a ``memo`` may be shared
+        by calls on the same model."""
+        up, modal = clauses(m)
+        return _truth_set(up, m.val, modal, phi, {} if memo is None else memo)
+
     def holds(m, w, phi: Formula) -> bool:
         """Whether ``phi`` holds at world ``w`` of ``m``."""
         if w not in m.worlds:
             raise ModelError(f"unknown world {w!r}")
         return w in truth_set(m, phi)
-    return holds
+    return truth_set, holds
 
 
-eval_classical = _evaluator(truth_set_classical)
-eval_inm = _evaluator(truth_set_inm)
-eval_cnm = _evaluator(truth_set_cnm)
-eval_ik2 = _evaluator(truth_set_ik2)
+truth_set_classical, eval_classical = _evaluators(clauses_classical)
+truth_set_inm, eval_inm = _evaluators(clauses_inm)
+truth_set_cnm, eval_cnm = _evaluators(clauses_cnm)
+truth_set_ik2, eval_ik2 = _evaluators(clauses_ik2)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +537,7 @@ class Kind:
     model: type
     dialects: tuple
     holds: Callable      # (model, point, formula) -> bool
-    truth_set: Optional[Callable]  # (model, formula, memo); None: points are not worlds
+    clauses: Optional[Callable]  # model -> (up, modal); None: points are not worlds
     validate: Callable   # model -> list of violations
     checks: Mapping = field(default_factory=dict)  # level beyond basic -> CheckReport
 
@@ -527,17 +547,17 @@ def _check_full_report(m: CNModel) -> CheckReport:
 
 
 KINDS = {
-    "inm": Kind(INModel, ("modal",), eval_inm, truth_set_inm, validate_inm,
+    "inm": Kind(INModel, ("modal",), eval_inm, clauses_inm, validate_inm,
                 {"coherent": lambda m: check_inm(m, "coherent"),
                  "cartesian": lambda m: check_inm(m, "cartesian")}),
-    "cnm": Kind(CNModel, ("modal", "nabla"), eval_cnm, truth_set_cnm, validate_cnm,
+    "cnm": Kind(CNModel, ("modal", "nabla"), eval_cnm, clauses_cnm, validate_cnm,
                 {"full": _check_full_report}),
-    "ik2": Kind(IK2Model, ("bimodal",), eval_ik2, truth_set_ik2, validate_ik2,
+    "ik2": Kind(IK2Model, ("bimodal",), eval_ik2, clauses_ik2, validate_ik2,
                 {"frame": check_ik2_frame}),
     # ifom formulas are evaluated at (world, state) pairs
     "ifom": Kind(IFOMStructure, ("modal",),
                  lambda s, point, phi: eval_modal_ifom(s, point[0], point[1], phi),
                  None, validate_ifom),
-    "classical": Kind(NbhdModel, ("modal",), eval_classical, truth_set_classical,
+    "classical": Kind(NbhdModel, ("modal",), eval_classical, clauses_classical,
                       validate_nbhd),
 }

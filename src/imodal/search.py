@@ -7,9 +7,8 @@ the integer order (every finite poset has such a labelling, so the searched
 space is exhaustive up to isomorphism), upsets are the upward-closed subsets
 of the order (partial or pre-), and neighbourhood value maps are enumerated
 pointwise.  Formulas are evaluated through the kind table ``models.KINDS``.
-``find_countermodel`` returns the first hit in enumeration order; with
-several workers the space is partitioned by cell and the globally least hit
-is reported, so outcomes do not depend on the worker count.
+``find_countermodel`` scans the cells in order, in one process, and returns
+the first hit in enumeration order.
 
 The bit-sliced sweep (``sweep_inm_validity``) checks a batch of formulas for
 validity over every intuitionistic neighbourhood model within bounds.  For
@@ -27,14 +26,13 @@ import itertools
 import math
 import operator
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from . import models
 from .folm import FOMStructure, IFOMStructure
-from .models import (CNModel, IK2Model, INModel, NbhdModel, check_ik2_frame,
-                     check_full, check_inm, eval_inm)
+from .models import (CNModel, IK2Model, INModel, NbhdModel, _truth_set,
+                     check_ik2_frame, check_full, check_inm, eval_inm)
 from .orders import is_transitive, is_upward_closed, reflexive_transitive_closure
 from .syntax import (And, Atom, Box, Consecution, Dia, FALSUM, Falsum, Formula,
                      Implies, Nabla, Or, in_dialect)
@@ -60,7 +58,7 @@ class SearchBounds:
 class CounterexampleFound:
     model: object
     world: object
-    index: tuple  # (cell index, offset within cell); worker-count independent
+    index: tuple  # (cell index, offset within cell)
 
 
 @dataclass
@@ -102,7 +100,7 @@ def _subsets(n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration cells (the unit of worker partitioning)
+# Enumeration cells (the stream visits them in order)
 # ---------------------------------------------------------------------------
 
 def _cells(kind: str, bounds: SearchBounds) -> list:
@@ -260,7 +258,7 @@ def enumerate_models(kind: str, bounds: SearchBounds) -> Iterator:
 def _violating_world(kind: str, model, consec: Consecution):
     """Least point (by label) satisfying the context but not the conclusion."""
     spec = models.KINDS[kind]
-    if spec.truth_set is None:  # ifom: the points are (world, state) pairs
+    if spec.clauses is None:  # ifom: the points are (world, state) pairs
         pairs = sorted(((w, x) for w in model.worlds for x in model.interp[w].states),
                        key=str)
         for point in pairs:
@@ -268,13 +266,14 @@ def _violating_world(kind: str, model, consec: Consecution):
                     and not spec.holds(model, point, consec.conclusion):
                 return point
         return None
+    up, modal = spec.clauses(model)
     memo: dict = {}
     good = model.worlds
     for g in sorted(consec.context, key=str):
-        good = good & spec.truth_set(model, g, memo)
+        good = good & _truth_set(up, model.val, modal, g, memo)
         if not good:
             return None
-    bad = good - spec.truth_set(model, consec.conclusion, memo)
+    bad = good - _truth_set(up, model.val, modal, consec.conclusion, memo)
     return min(bad, key=str) if bad else None
 
 
@@ -285,56 +284,28 @@ def _check_dialect(kind: str, consec: Consecution) -> None:
             raise ValueError(f"formula dialect does not match model kind {kind!r}")
 
 
-def _scan_cells(args):
-    kind, bounds, cells, consec, deadline = args
-    examined = 0
-    for cell_index, cell in cells:
-        base = 0
-        for m in _models_in_cell(kind, bounds, cell):
-            examined += 1
-            base += 1
-            if deadline is not None and examined % 256 == 0 and time.monotonic() > deadline:
-                return examined, None, True
-            world = _violating_world(kind, m, consec)
-            if world is not None:
-                return examined, (cell_index, base - 1, m, world), False
-    return examined, None, False
-
-
 def find_countermodel(consec: Consecution, kind: str, bounds: SearchBounds,
                       timeout_ms: Optional[int] = None, workers: int = 1):
     """First model and world (in enumeration order) where the whole context
-    holds and the conclusion fails; ``NoneWithinBounds`` otherwise."""
+    holds and the conclusion fails; ``NoneWithinBounds`` otherwise.
+
+    The search runs in this process.  ``workers`` accepts only 1; it is kept
+    for callers that still pass it and goes once the benchmark drops it."""
+    if workers != 1:
+        raise ValueError(f"the search runs in one process; workers={workers!r}")
     _check_dialect(kind, consec)
     start = time.monotonic()
     deadline = None if timeout_ms is None else start + timeout_ms / 1000.0
-    cells = list(enumerate(_cells(kind, bounds)))
     examined = 0
-    timed_out = False
-    if workers <= 1:
-        examined, hit, timed_out = _scan_cells((kind, bounds, cells, consec, deadline))
-        if hit is not None:
-            cell_index, offset, model, world = hit
-            return CounterexampleFound(model, world, (cell_index, offset))
-        return NoneWithinBounds(examined, time.monotonic() - start, timed_out)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for wave_start in range(0, len(cells), workers):
-            wave = cells[wave_start:wave_start + workers]
-            jobs = [pool.submit(_scan_cells, (kind, bounds, [c], consec, deadline))
-                    for c in wave]
-            hits = []
-            for job in jobs:
-                got, hit, t_out = job.result()
-                examined += got
-                timed_out = timed_out or t_out
-                if hit is not None:
-                    hits.append(hit)
-            if hits:
-                cell_index, offset, model, world = min(hits, key=lambda h: (h[0], h[1]))
-                return CounterexampleFound(model, world, (cell_index, offset))
-            if timed_out:
-                break
-    return NoneWithinBounds(examined, time.monotonic() - start, timed_out)
+    for cell_index, cell in enumerate(_cells(kind, bounds)):
+        for offset, m in enumerate(_models_in_cell(kind, bounds, cell)):
+            examined += 1
+            if deadline is not None and examined % 256 == 0 and time.monotonic() > deadline:
+                return NoneWithinBounds(examined, time.monotonic() - start, True)
+            world = _violating_world(kind, m, consec)
+            if world is not None:
+                return CounterexampleFound(m, world, (cell_index, offset))
+    return NoneWithinBounds(examined, time.monotonic() - start)
 
 
 # ---------------------------------------------------------------------------

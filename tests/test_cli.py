@@ -1,15 +1,19 @@
 import contextlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imodal.cli import main
-from imodal import docio
+from imodal.cli import main, trace_eval
+from imodal import docio, models, search
 from imodal.calculi import IM_CALC, ax
-from imodal.syntax import DIALECTS, Atom, parse
+from imodal.orders import successors
+from imodal.syntax import (DIALECTS, Atom, BiDia, Box, Implies, parse,
+                           translate_bimodal)
+from test_search import _run_python
 
 DATA = "src/imodal/data"
 
@@ -91,6 +95,11 @@ class TestEvalCommand:
         assert "[w] ([]T -> <>p0) -> <>p0 : false" in out
         assert "successor" in out
 
+    def test_unknown_world_with_trace(self, capsys):
+        code, _, err = run(capsys, "eval", "--trace",
+                           f"{DATA}/wm_counterexample.json", "zz", "p0")
+        assert code == 2 and "unknown world" in err
+
     def test_ik2_document(self, capsys):
         code, out, _ = run(capsys, "eval", f"{DATA}/ik2_counterexample.json", "v",
                            "[N]<E>T")
@@ -100,6 +109,173 @@ class TestEvalCommand:
         code, out, _ = run(capsys, "eval", f"{DATA}/ifom_example.json", "w1/d1",
                            "<>p0")
         assert code == 0
+
+
+PINNED_TRACES = {
+    ("inm_box_bot_counterexample.json", "[]T -> <>T"): """\
+[w] []T -> <>T : false
+  fails at successor [w]
+  [w] []T : true
+    witnessed by a
+    [w] T : true
+      holds at every successor
+      [w] F : false
+      [w] F : false
+  [w] <>T : false
+    fails at successor [w]: a
+    [w] T : true
+      holds at every successor
+      [w] F : false
+      [w] F : false""",
+    ("ik2_counterexample.json", "<N>T -> [N]<E>T"): """\
+[w] <N>T -> [N]<E>T : false
+  fails at successor [w]
+  [w] <N>T : true
+    witnessed by v
+    [w] T : true
+      holds at every successor
+      [w] F : false
+      [w] F : false
+  [w] [N]<E>T : false
+    fails at successor [w]: v
+    [w] <E>T : false
+      no witness
+      [w] T : true
+        holds at every successor
+        [w] F : false
+        [w] F : false""",
+    ("wm_counterexample.json", "([]T -> <>p0) -> <>p0"): """\
+[w] ([]T -> <>p0) -> <>p0 : false
+  fails at successor [w]
+  [w] []T -> <>p0 : true
+    holds at every successor
+    [w] []T : false
+      fails at successor [v]
+      [w] T : true
+        holds at every successor
+        [w] F : false
+        [w] F : false
+    [w] <>p0 : false
+      fails at successor [w]
+      [w] p0 : false
+  [w] <>p0 : false
+    fails at successor [w]
+    [w] p0 : false""",
+}
+
+
+def _random_model(rng, kind):
+    bounds = search.SearchBounds(4, 2, 2)
+    if kind == "inm":
+        return search.random_inm(rng, bounds)
+    if kind == "cnm":
+        return search.random_cnm(rng, bounds)
+    if kind == "ifom":
+        return search.random_ifom(rng)
+    worlds = frozenset(range(rng.randint(1, 4)))
+
+    def some(pool):
+        return frozenset(x for x in pool if rng.random() < 0.4)
+
+    val = {i: some(worlds) for i in range(2)}
+    if kind == "classical":
+        return models.NbhdModel(worlds, {w: frozenset(some(worlds) for _ in range(2))
+                                         for w in worlds}, val)
+    pairs = [(a, b) for a in worlds for b in worlds]
+    return models.IK2Model(worlds, search.random_poset(rng, len(worlds)),
+                           some(pairs), some(pairs), val)
+
+
+def _successors(kind, model, point):
+    if kind == "classical":
+        return {point}
+    if kind == "ifom":
+        return {(v, point[1]) for v in successors(model.worlds, model.leq, point[0])}
+    return successors(model.worlds, model.preceq if kind == "cnm" else model.leq, point)
+
+
+def _named(kind, m, p, f):
+    """Oracle for the named notes: the witnesses of ``f`` at ``p`` for an
+    existential clause, the refuters at ``p`` for a universal one."""
+    def body(x):
+        return models.KINDS[kind].holds(m, x, f.sub)
+
+    if kind == "inm" and isinstance(f, Box):
+        return [n for n, a in m.nbhds.items() if p in a and all(
+            body(x) for v in successors(m.worlds, m.leq, p) if v in a for x in a[v])]
+    if kind == "inm":
+        return [n for n, a in m.nbhds.items() if p in a and not any(body(x) for x in a[p])]
+    rel = m.relN if f.index == "N" else m.relE
+    return [y for x, y in rel if x == p and body(y) == isinstance(f, BiDia)]
+
+
+class TestTrace:
+    @pytest.mark.parametrize("kind", ["classical", "inm", "cnm", "ik2", "ifom"])
+    def test_lines_agree_with_the_evaluator(self, kind, rng):
+        holds = models.KINDS[kind].holds
+        dialect = models.KINDS[kind].dialects[-1]
+        for _ in range(60):
+            m = _random_model(rng, kind)
+            points = ([(w, x) for w in sorted(m.worlds) for x in sorted(m.interp[w].states)]
+                      if kind == "ifom" else sorted(m.worlds))
+            label = {str(p): p for p in points}
+            phi = search.random_formula(rng, 3, 2, "nabla" if dialect == "nabla" else "modal")
+            if kind == "ik2":
+                phi = translate_bimodal(phi)
+            value, lines = trace_eval(kind, m, rng.choice(points), phi)
+            node = at = None
+            for line in lines:
+                if line.lstrip().startswith("["):
+                    text, verdict = line.lstrip()[1:].rsplit(" : ", 1)
+                    point_text, formula_text = text.split("] ", 1)
+                    node = label[point_text], parse(formula_text, dialect)
+                    assert holds(m, *node) == (verdict == "true"), line
+                    # a failing implication is traced at its failing successor
+                    assert at in (None, node[0]), line
+                    at = None
+                elif line.lstrip().startswith("fails at successor ["):
+                    v = label[line.split("[", 1)[1].split("]", 1)[0]]
+                    point, f = node
+                    assert v in _successors(kind, m, point), line
+                    assert not holds(m, point, f)
+                    # v is the first refuting successor by label
+                    earlier = [u for u in _successors(kind, m, point) if str(u) < str(v)]
+                    if isinstance(f, Implies):
+                        assert holds(m, v, f.left) and not holds(m, v, f.right)
+                        assert not any(holds(m, u, f.left) and not holds(m, u, f.right)
+                                       for u in earlier), line
+                        at = v
+                    elif kind in ("inm", "ik2"):
+                        assert not any(_named(kind, m, u, f) for u in earlier), line
+                        least = min(_named(kind, m, v, f), key=str)
+                        assert line.endswith(f"]: {least}"), line
+                elif line.lstrip().startswith("witnessed by "):
+                    least = min(_named(kind, m, *node), key=str)
+                    assert line.endswith(f" by {least}"), line
+            assert value == (lines[0].rsplit(" : ", 1)[1] == "true")
+
+    @pytest.mark.parametrize("doc, formula", sorted(PINNED_TRACES))
+    def test_pinned(self, capsys, doc, formula):
+        code, out, _ = run(capsys, "eval", "--trace", f"{DATA}/{doc}", "w", formula)
+        assert code == 1
+        assert out.rstrip("\n") == PINNED_TRACES[doc, formula]
+
+    def test_independent_of_string_hashing(self):
+        code = (
+            "import random\n"
+            "from imodal import cli, search, syntax\n"
+            "rng = random.Random(5)\n"
+            "for name in ('figure1_frame', 'inm_box_bot_counterexample',\n"
+            "             'ik2_counterexample', 'wm_counterexample'):\n"
+            f"    kind, m = cli._load_model('{DATA}/' + name + '.json')\n"
+            "    for _ in range(20):\n"
+            "        phi = search.random_formula(rng, 3, 2)\n"
+            "        if kind == 'ik2':\n"
+            "            phi = syntax.translate_bimodal(phi)\n"
+            "        w = rng.choice(sorted(m.worlds))\n"
+            "        print('\\n'.join(cli.trace_eval(kind, m, w, phi)[1]))\n")
+        traces = {_run_python(code, PYTHONHASHSEED=seed) for seed in ("1", "3")}
+        assert len(traces) == 1 and "witnessed by" in traces.pop()
 
 
 class TestCheckModelCommand:
@@ -136,6 +312,24 @@ class TestCheckModelCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "'zz'" in err
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"kind": "classical", "worlds": ["w"], "gamma": []},
+         "gamma: expected an object, got a list"),
+        ({"kind": "classical", "worlds": 5}, "worlds: expected a list, got a number"),
+        ({"kind": "classical", "worlds": [["w"]]}, "worlds[0]: expected a string, got a list"),
+        ({"kind": "inm", "worlds": ["w"], "neighbourhoods": {"a": [["w"]]}},
+         "neighbourhoods.a: expected an object, got a list"),
+        ({"kind": "inm", "worlds": ["w"], "valuation": {"x": ["w"]}},
+         "valuation key 'x' is not an atom index"),
+    ], ids=["gamma-list", "worlds-number", "world-list", "neighbourhood-list",
+            "valuation-key"])
+    def test_mistyped_field_named(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check-model", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and field in err
+
     def test_invalid_document_rejected_on_eval(self, tmp_path, capsys):
         doc = {"kind": "inm", "worlds": ["w"], "order": [],
                "neighbourhoods": {"a": {"zz": []}}, "valuation": {}}
@@ -143,6 +337,49 @@ class TestCheckModelCommand:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "eval", str(path), "w", "p0")
         assert code == 2
+
+
+def _paths(doc, prefix=()):
+    """Every field path of a JSON document, its root excluded."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
+                    st.sampled_from(["", "w", "v", "a", "0", "p0"]))
+JSON_VALUES = {
+    type(None): st.none(), bool: st.booleans(), int: st.integers(-2, 2),
+    float: st.floats(-2, 2), str: st.sampled_from(["", "w", "v", "a", "0", "x"]),
+    list: st.lists(SCALARS, max_size=2),
+    dict: st.dictionaries(st.sampled_from(["w", "v", "a", "0", "x"]), SCALARS, max_size=2),
+}
+SHIPPED_MODELS = sorted(n for n in os.listdir(DATA)
+                        if not n.endswith("_translated.json"))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(SHIPPED_MODELS))
+def test_mutated_documents_keep_the_exit_code_contract(tmp_path_factory, data, name):
+    with open(f"{DATA}/{name}", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    point = doc["worlds"][0]
+    if doc["kind"] == "ifom":
+        point += "/" + doc["interpretation"][point]["states"][0]
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = type(parent[path[-1]])
+    parent[path[-1]] = data.draw(st.one_of(
+        [s for t, s in JSON_VALUES.items() if t is not old and not
+         (old in (int, float) and t in (int, float))]))
+    target = tmp_path_factory.mktemp("mutated") / name
+    target.write_text(json.dumps(doc))
+    assert _exit_code(["check-model", str(target)]) in (0, 1, 2)
+    assert _exit_code(["eval", "--no-validate", str(target), point, "p0"]) in (0, 1, 2)
 
 
 class TestTranslateCommand:
@@ -189,6 +426,11 @@ class TestTransformCommand:
         code, _, err = run(capsys, "transform", "circle", str(path))
         assert code == 2 and "cartesian" in err
 
+    def test_bad_budget_exit_code(self, capsys):
+        code, out, err = run(capsys, "transform", "coh", f"{DATA}/figure1_frame.json",
+                             "--coh-levels", "0")
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_unravel_needs_source(self, capsys):
         code, _, err = run(capsys, "transform", "unravel",
                            f"{DATA}/figure1_frame.json")
@@ -212,6 +454,10 @@ class TestSearchCommand:
         assert code == 0
         assert json.loads(out)["status"] == "none-within-bounds"
 
+    def test_bad_bounds_exit_code(self, capsys):
+        code, out, err = run(capsys, "search", "p0", "--max-worlds", "0")
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_atom_search(self, capsys):
         code, out, _ = run(capsys, "search", "--json", "p0",
                            "--max-worlds", "1", "--max-nbhds", "0")
@@ -223,6 +469,26 @@ class TestProofCommand:
         code, out, _ = run(capsys, "proof", "check",
                            f"{DATA}/neg_a_translated.json", "--calculus", "IK2")
         assert code == 0 and out.strip() == "ok"
+
+    @pytest.mark.parametrize("doc, field", [
+        ([], "derivation: expected an object, got a list"),
+        ({"rule": "El", "conclusion": []}, "conclusion: expected an object, got a list"),
+    ], ids=["array", "conclusion-list"])
+    def test_mistyped_field_named(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "proof", "check", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and field in err
+
+    def test_repeated_atom_index(self, tmp_path, capsys):
+        # "1" and "01" name the same atom; the last one wins
+        doc = {"rule": "Ax", "conclusion": {"context": [], "formula": "p0 -> p0"},
+               "certificate": {"schema": "none", "subst": {"1": "p0", "01": "p1"}}}
+        path = tmp_path / "ax.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "proof", "check", str(path))
+        assert code == 1 and out.startswith("invalid")
 
     def test_check_invalid(self, tmp_path, capsys):
         doc = {"rule": "El",
