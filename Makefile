@@ -7,9 +7,11 @@ test:
 fast:
 	PYTHONPATH=src python -m pytest -q -m "not slow"
 
-# the fast tests, then every evaluator against the independent reference semantics
+# the fast tests, every evaluator against the independent reference semantics,
+# then the shipped examples (exits 1 on any failed check)
 check: fast
 	python3 bench/reference.py
+	PYTHONPATH=src python3 -m imodal.cli reproduce
 
 bench:
 	for w in soundness refute constructions cli; do \

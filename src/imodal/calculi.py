@@ -228,10 +228,6 @@ def check_derivation(spec: CalculusSpec, d: Derivation, _path: Tuple[int, ...] =
         fail(f"unknown rule {d.rule}")
 
 
-def derivation_size(d: Derivation) -> int:
-    return 1 + sum(derivation_size(p) for p in d.premises)
-
-
 # ---------------------------------------------------------------------------
 # Construction helpers
 # ---------------------------------------------------------------------------

@@ -61,31 +61,22 @@ def _note(exists, found, point, successors) -> str:
 
 def trace_eval(kind, model, point, phi):
     """Clause-by-clause evaluation tree at the queried point, from one
-    evaluation of ``phi``.  Implications and modal clauses carry a note read
-    from the clause that decided them; an implication that fails is traced
-    at its first failing successor.  Returns ``(value, lines)``."""
+    evaluation of ``phi`` by the kind's clauses.  Implications and modal
+    clauses carry a note read from the clause that decided them; an
+    implication that fails is traced at its first failing successor.  The
+    points of an ifom structure are its (world, state) pairs.  Returns
+    ``(value, lines)``."""
     spec = models.KINDS[kind]
-    if spec.clauses is None:  # ifom: points are (world, state) pairs
-        modal = None
+    spec.holds(model, point, syntax.FALSUM)  # raises at an unknown point
+    up, val, modal = spec.clauses(model)
+    memo: dict = {}
+    models._truth_set(up, val, modal, phi, memo)
 
-        def holds(p, f):
-            return spec.holds(model, p, f)
+    def holds(p, f):
+        return p in memo[f]
 
-        def successors(p):
-            return [(v, p[1]) for v in sorted(model.worlds, key=str)
-                    if (p[0], v) in model.leq]
-    else:
-        if point not in model.worlds:
-            raise models.ModelError(f"unknown world {point!r}")
-        up, modal = spec.clauses(model)
-        memo: dict = {}
-        models._truth_set(up, model.val, modal, phi, memo)
-
-        def holds(p, f):
-            return p in memo[f]
-
-        def successors(p):
-            return sorted(up[p], key=str)
+    def successors(p):
+        return sorted(up[p], key=str)
 
     lines = []
 
@@ -102,9 +93,8 @@ def trace_eval(kind, model, point, phi):
             walk(at, f.left, pad + "  ")
             walk(at, f.right, pad + "  ")
         elif not isinstance(f, (syntax.Atom, syntax.Falsum)):
-            if modal is not None:
-                exists, found = modal(f, memo[f.sub])
-                lines.append(f"{pad}  {_note(exists, found, p, successors(p))}")
+            exists, found = modal(f, memo[f.sub])
+            lines.append(f"{pad}  {_note(exists, found, p, successors(p))}")
             walk(p, f.sub, pad + "  ")
 
     walk(point, phi, "")
@@ -235,10 +225,10 @@ def _cmd_search(args) -> int:
                                      require_coherent=args.coherent,
                                      require_cartesian=args.cartesian,
                                      require_full=args.full)
+        result = search.find_countermodel(syntax.consecution(context, phi), kind, bounds,
+                                          timeout_ms=args.timeout_ms)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    consec = syntax.consecution(context, phi)
-    result = search.find_countermodel(consec, kind, bounds, timeout_ms=args.timeout_ms)
     if isinstance(result, search.CounterexampleFound):
         doc = docio.model_to_doc(result.model)
         labels = docio._labelling(result.model.worlds)

@@ -4,8 +4,8 @@ One document format per model kind, tagged by ``kind``: worlds are string
 labels, orders and relations are pair lists (reflexive-transitive closure is
 taken on load), neighbourhoods map names to per-world value lists (the key set
 is the domain), and valuations map atom indices (as strings) to world lists.
-Loading checks each field's JSON type, naming the field of a mismatch by its
-path, and validates with the kind's checker unless told otherwise.
+Loading checks each field's JSON type, naming a mistyped or missing field by
+its path, and validates with the kind's checker unless told otherwise.
 """
 
 from __future__ import annotations
@@ -117,6 +117,14 @@ def _typed(value, typ, path: str):
     return value
 
 
+def _get(rec: dict, key, typ, path: str):
+    """The field ``key`` of ``rec``, named ``path``, checked by ``_typed``; a
+    missing field raises ``KeyError(path)``, which the loaders report."""
+    if key not in rec:
+        raise KeyError(path)
+    return _typed(rec[key], typ, path)
+
+
 def _atom(key: str, path: str) -> int:
     try:
         return int(key)
@@ -145,7 +153,7 @@ def _build_model(kind: str, doc: dict):
     """The model of a document whose every field has been type-checked;
     errors name the offending field by its path, such as ``gamma.w[0]``."""
     worlds = frozenset(_typed(w, str, f"worlds[{i}]")
-                       for i, w in enumerate(_typed(doc["worlds"], list, "worlds")))
+                       for i, w in enumerate(_get(doc, "worlds", list, "worlds")))
 
     def world(w, path):
         if _typed(w, str, path) not in worlds:
@@ -196,13 +204,14 @@ def _build_model(kind: str, doc: dict):
     if kind == "ik2":
         return IK2Model(worlds, leq, pairs(doc, "", "relN"), pairs(doc, "", "relE"),
                         valuation(doc, "", "valuation"))
-    records = _typed(doc["interpretation"], dict, "interpretation")
+    records = _get(doc, "interpretation", dict, "interpretation")
     interp = {}
     for w in sorted(worlds, key=str):
         prefix = f"interpretation.{w}."
-        rec = _typed(records[w], dict, prefix[:-1])
+        rec = _get(records, w, dict, prefix[:-1])
         interp[w] = FOMStructure(
-            frozenset(labels(rec["states"], prefix + "states", local)),
+            frozenset(labels(_get(rec, "states", list, prefix + "states"),
+                             prefix + "states", local)),
             frozenset(labels(rec.get("nbhds", []), prefix + "nbhds", local)),
             pairs(rec, prefix, "N", local), pairs(rec, prefix, "E", local),
             valuation(rec, prefix, "preds", local))
@@ -247,23 +256,24 @@ def _derivation(doc, dialect: str, prefix: str) -> calculi.Derivation:
         return parse(_typed(value, str, prefix + path), dialect)
 
     doc = _typed(doc, dict, prefix[:-1] or "derivation")
-    concl = _typed(doc["conclusion"], dict, prefix + "conclusion")
+    concl = _get(doc, "conclusion", dict, prefix + "conclusion")
     context = frozenset(text(t, f"conclusion.context[{i}]") for i, t in enumerate(
-        _typed(concl["context"], list, prefix + "conclusion.context")))
-    formula = text(concl["formula"], "conclusion.formula")
+        _get(concl, "context", list, prefix + "conclusion.context")))
+    formula = parse(_get(concl, "formula", str, prefix + "conclusion.formula"), dialect)
     premises = tuple(_derivation(p, dialect, f"{prefix}premises[{i}].") for i, p in enumerate(
         _typed(doc.get("premises", []), list, prefix + "premises")))
-    rule = _typed(doc["rule"], str, prefix + "rule")
+    rule = _get(doc, "rule", str, prefix + "rule")
     certificate = None
     if rule in ("El", "Ax"):
-        cert = _typed(doc["certificate"], dict, prefix + "certificate")
+        cert = _get(doc, "certificate", dict, prefix + "certificate")
     if rule == "El":
-        certificate = text(cert["member"], "certificate.member")
+        certificate = parse(_get(cert, "member", str, prefix + "certificate.member"),
+                            dialect)
     elif rule == "Ax":
         subst = _typed(cert.get("subst", {}), dict, prefix + "certificate.subst")
         subst = {_atom(i, prefix + "certificate.subst"): text(t, f"certificate.subst.{i}")
                  for i, t in subst.items()}
-        certificate = (_typed(cert["schema"], str, prefix + "certificate.schema"),
+        certificate = (_get(cert, "schema", str, prefix + "certificate.schema"),
                        tuple(sorted(subst.items())))
     return calculi.Derivation(rule, Consecution(context, formula), premises, certificate)
 

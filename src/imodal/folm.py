@@ -1,7 +1,12 @@
 """Two-sorted first-order side: sorted FO formulas, the standard translation,
-classical (Tarskian) and intuitionistic-Kripke evaluation, direct modal
-evaluation on growing-structure posets, and the classical maps between
-neighbourhood models and their first-order presentations.
+intuitionistic-Kripke evaluation (classical, Tarskian evaluation is its case
+of one world), direct modal evaluation on growing-structure posets, and the
+classical maps between neighbourhood models and their first-order
+presentations.
+
+The direct modal evaluation ``eval_modal_ifom`` is kept apart from the
+neighbourhood clauses in ``models``, which evaluate a structure through its
+image ``bullet``; the two routes check each other.
 
 Sorts are ``"s"`` (states) and ``"n"`` (neighbourhoods).  The signature has a
 binary predicate N between s and n, a binary predicate E between n and s, and
@@ -270,35 +275,10 @@ def _check_env(m: FOMStructure, phi: FOFormula, env) -> None:
 
 
 def eval_fo_classical(m: FOMStructure, phi: FOFormula, env: Mapping) -> bool:
-    """Standard classical satisfaction; ``env`` covers the free variables."""
-    if not well_sorted(phi):
-        raise SortMismatchError("formula is not well-sorted")
-    _check_env(m, phi, env)
-    return _eval_classical(m, phi, dict(env))
-
-
-def _eval_classical(m: FOMStructure, phi: FOFormula, env) -> bool:
-    if isinstance(phi, PredP):
-        return env[phi.term] in m.preds.get(phi.index, frozenset())
-    if isinstance(phi, RelN):
-        return (env[phi.state], env[phi.nbhd]) in m.relN
-    if isinstance(phi, RelE):
-        return (env[phi.nbhd], env[phi.state]) in m.relE
-    if isinstance(phi, FoFalsum):
-        return False
-    if isinstance(phi, FoAnd):
-        return _eval_classical(m, phi.left, env) and _eval_classical(m, phi.right, env)
-    if isinstance(phi, FoOr):
-        return _eval_classical(m, phi.left, env) or _eval_classical(m, phi.right, env)
-    if isinstance(phi, FoImplies):
-        return (not _eval_classical(m, phi.left, env)) or _eval_classical(m, phi.right, env)
-    if isinstance(phi, Forall):
-        return all(_eval_classical(m, phi.body, {**env, phi.var: d})
-                   for d in _domain(m, phi.var.sort))
-    if isinstance(phi, Exists):
-        return any(_eval_classical(m, phi.body, {**env, phi.var: d})
-                   for d in _domain(m, phi.var.sort))
-    raise TypeError(f"not a first-order formula: {phi!r}")
+    """Standard classical satisfaction; ``env`` covers the free variables.  A
+    classical structure is a Kripke structure with one world."""
+    return eval_fo_kripke(IFOMStructure(frozenset((0,)), frozenset(((0, 0),)), {0: m}),
+                          0, phi, env)
 
 
 def eval_fo_kripke(s: IFOMStructure, w, phi: FOFormula, env: Mapping) -> bool:

@@ -1,32 +1,36 @@
 """The model kinds with their evaluators and structural checkers: classical
 neighbourhood models, intuitionistic neighbourhood models with partial-function
-neighbourhoods, constructive neighbourhood models, and birelational bimodal
-models, plus the coherence / Cartesian / fullness / frame-condition checks and
-isomorphism search.
+neighbourhoods, constructive neighbourhood models, birelational bimodal
+models and intuitionistic first-order structures, plus the coherence /
+Cartesian / fullness / frame-condition checks and isomorphism search.
 
 Every kind is intuitionistic at its base: one shared core (``_truth_set``)
 evaluates atoms, the connectives and implication along the kind's order (the
 identity for classical models, which makes implication material), and each
 kind supplies only its modal clauses.  ``clauses_<kind>(m)`` returns
-``(up, modal)``: ``up`` maps each world to its up-set, and ``modal(f, t)``
-decides a modal node ``f`` whose body holds exactly on ``t``, returning
-``(exists, found)``.  An existential clause (``exists`` true) holds exactly
-at the keys of ``found``, each mapped to its witness; a universal one fails
-exactly at the worlds whose up-set meets the keys of ``found``, each mapped to
-what refutes the clause there.  Named witnesses (neighbourhood names, worlds)
-are the least by label; the unnamed neighbourhoods of classical and
-constructive models map to ``None``.  ``eval --trace`` reads its notes from
-these clauses.  Truth sets are computed bottom-up with a per-call memo keyed
-on subformulas, so repeated subformulas cost nothing.  Models are immutable
-after construction; validation never repairs, it reports witnesses.  ``KINDS``
-at the end of the module holds, per kind, the model class, dialects,
-evaluator, clauses, validator and check levels.
+``(up, val, modal)``: ``up`` maps each point to its up-set, ``val`` maps each
+atom index to the points where it holds, and ``modal(f, t)`` decides a modal
+node ``f`` whose body holds exactly on ``t``, returning ``(exists, found)``.
+An existential clause (``exists`` true) holds exactly at the keys of
+``found``, each mapped to its witness; a universal one fails exactly at the
+points whose up-set meets the keys of ``found``, each mapped to what refutes
+the clause there.  Named witnesses (neighbourhood names, worlds) are the least
+by label; the unnamed neighbourhoods of classical and constructive models map
+to ``None``.  The points of a model are its worlds, except that the points of
+a first-order structure are its (world, state) pairs: its clauses are those
+of its neighbourhood-model image ``bullet``, whose worlds are exactly those
+pairs.  Search and ``eval --trace`` read these clauses for every kind.  Truth
+sets are computed bottom-up with a per-call memo keyed on subformulas, so
+repeated subformulas cost nothing.  Models are immutable after construction;
+validation never repairs, it reports witnesses.  ``KINDS`` at the end of the
+module holds, per kind, the model class, dialects, evaluator, clauses,
+validator and check levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 from .folm import IFOMStructure, eval_modal_ifom, validate_ifom
 from .orders import (equivalence_classes, is_partial_order, is_preorder,
@@ -234,7 +238,7 @@ def clauses_classical(m: NbhdModel):
         raise TypeError(f"not a modal-dialect formula: {f!r}")
 
     # every world sees only itself, so implication is material
-    return {w: frozenset((w,)) for w in m.worlds}, modal
+    return {w: frozenset((w,)) for w in m.worlds}, m.val, modal
 
 
 def clauses_inm(m: INModel):
@@ -252,7 +256,7 @@ def clauses_inm(m: INModel):
                            for w, value in a.items() if not (value & t)}
         raise TypeError(f"not a modal-dialect formula: {f!r}")
 
-    return up, modal
+    return up, m.val, modal
 
 
 def clauses_cnm(m: CNModel):
@@ -267,7 +271,7 @@ def clauses_cnm(m: CNModel):
                            if any(not (a & t) for a in m.gamma.get(w, frozenset()))}
         raise TypeError(f"not a box/diamond/nabla formula: {f!r}")
 
-    return _ups(m.worlds, m.preceq), modal
+    return _ups(m.worlds, m.preceq), m.val, modal
 
 
 def clauses_ik2(m: IK2Model):
@@ -282,15 +286,43 @@ def clauses_ik2(m: IK2Model):
             return True, {w: y for w, y in rels[f.index] if y in t}
         raise TypeError(f"not a bimodal formula: {f!r}")
 
-    return _ups(m.worlds, m.leq), modal
+    return _ups(m.worlds, m.leq), m.val, modal
+
+
+def bullet(s: IFOMStructure) -> INModel:
+    """Pairs (world, state) ordered by the world order with equal states; one
+    neighbourhood per element of the neighbourhood sort.  Truth at a pair of
+    ``s`` is truth at the same pair of the image."""
+    worlds = frozenset((w, x) for w in s.worlds for x in s.interp[w].states)
+    leq = frozenset(((w, x), (v, y)) for (w, x) in worlds for (v, y) in worlds
+                    if (w, v) in s.leq and x == y)
+    all_nbhds = sorted({a for w in s.worlds for a in s.interp[w].nbhds}, key=str)
+    nbhds = {}
+    for a in all_nbhds:
+        fn = {}
+        for (w, x) in worlds:
+            iw = s.interp[w]
+            if a in iw.nbhds and (x, a) in iw.relN:
+                fn[(w, x)] = frozenset((w, y) for y in iw.states if (a, y) in iw.relE)
+        nbhds[a] = fn
+    atoms = {i for w in s.worlds for i in s.interp[w].preds}
+    val = {i: frozenset((w, x) for (w, x) in worlds
+                        if x in s.interp[w].preds.get(i, frozenset()))
+           for i in atoms}
+    return INModel(worlds=worlds, leq=leq, nbhds=nbhds, val=val)
+
+
+def clauses_ifom(s: IFOMStructure):
+    """The clauses of ``bullet(s)``, whose worlds are the points of ``s``."""
+    return clauses_inm(bullet(s))
 
 
 def _evaluators(clauses):
     def truth_set(m, phi: Formula, memo: dict = None) -> frozenset:
         """The worlds of ``m`` where ``phi`` holds; a ``memo`` may be shared
         by calls on the same model."""
-        up, modal = clauses(m)
-        return _truth_set(up, m.val, modal, phi, {} if memo is None else memo)
+        up, val, modal = clauses(m)
+        return _truth_set(up, val, modal, phi, {} if memo is None else memo)
 
     def holds(m, w, phi: Formula) -> bool:
         """Whether ``phi`` holds at world ``w`` of ``m``."""
@@ -537,7 +569,7 @@ class Kind:
     model: type
     dialects: tuple
     holds: Callable      # (model, point, formula) -> bool
-    clauses: Optional[Callable]  # model -> (up, modal); None: points are not worlds
+    clauses: Callable    # model -> (up, val, modal), keyed by points
     validate: Callable   # model -> list of violations
     checks: Mapping = field(default_factory=dict)  # level beyond basic -> CheckReport
 
@@ -554,10 +586,11 @@ KINDS = {
                 {"full": _check_full_report}),
     "ik2": Kind(IK2Model, ("bimodal",), eval_ik2, clauses_ik2, validate_ik2,
                 {"frame": check_ik2_frame}),
-    # ifom formulas are evaluated at (world, state) pairs
+    # points are (world, state) pairs; holds is the direct evaluator, which
+    # does not go through bullet
     "ifom": Kind(IFOMStructure, ("modal",),
                  lambda s, point, phi: eval_modal_ifom(s, point[0], point[1], phi),
-                 None, validate_ifom),
+                 clauses_ifom, validate_ifom),
     "classical": Kind(NbhdModel, ("modal",), eval_classical, clauses_classical,
                       validate_nbhd),
 }

@@ -94,12 +94,6 @@ class UnionFind:
     def same(self, a, b) -> bool:
         return self.find(a) == self.find(b)
 
-    def classes(self) -> dict:
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), set()).add(x)
-        return out
-
 
 def equivalence_classes(items, pairs) -> UnionFind:
     """Reflexive-symmetric-transitive closure of ``pairs`` over ``items``."""

@@ -6,9 +6,10 @@ partial orders are generated as transitive strict relations compatible with
 the integer order (every finite poset has such a labelling, so the searched
 space is exhaustive up to isomorphism), upsets are the upward-closed subsets
 of the order (partial or pre-), and neighbourhood value maps are enumerated
-pointwise.  Formulas are evaluated through the kind table ``models.KINDS``.
-``find_countermodel`` scans the cells in order, in one process, and returns
-the first hit in enumeration order.
+pointwise.  Formulas are evaluated through the clauses of the kind table
+``models.KINDS``, one truth set per formula and model.  ``find_countermodel``
+scans the stream of ``enumerate_models`` in one process and returns the first
+hit; its ``index`` is the model's position in that stream.
 
 The bit-sliced sweep (``sweep_inm_validity``) checks a batch of formulas for
 validity over every intuitionistic neighbourhood model within bounds.  For
@@ -58,7 +59,7 @@ class SearchBounds:
 class CounterexampleFound:
     model: object
     world: object
-    index: tuple  # (cell index, offset within cell)
+    index: int  # position of the model in the stream of enumerate_models
 
 
 @dataclass
@@ -256,24 +257,16 @@ def enumerate_models(kind: str, bounds: SearchBounds) -> Iterator:
 # ---------------------------------------------------------------------------
 
 def _violating_world(kind: str, model, consec: Consecution):
-    """Least point (by label) satisfying the context but not the conclusion."""
-    spec = models.KINDS[kind]
-    if spec.clauses is None:  # ifom: the points are (world, state) pairs
-        pairs = sorted(((w, x) for w in model.worlds for x in model.interp[w].states),
-                       key=str)
-        for point in pairs:
-            if all(spec.holds(model, point, g) for g in consec.context) \
-                    and not spec.holds(model, point, consec.conclusion):
-                return point
-        return None
-    up, modal = spec.clauses(model)
+    """Least point (by label) satisfying the context but not the conclusion;
+    the points of an ifom structure are its (world, state) pairs."""
+    up, val, modal = models.KINDS[kind].clauses(model)
     memo: dict = {}
-    good = model.worlds
+    good = frozenset(up)
     for g in sorted(consec.context, key=str):
-        good = good & _truth_set(up, model.val, modal, g, memo)
+        good = good & _truth_set(up, val, modal, g, memo)
         if not good:
             return None
-    bad = good - _truth_set(up, model.val, modal, consec.conclusion, memo)
+    bad = good - _truth_set(up, val, modal, consec.conclusion, memo)
     return min(bad, key=str) if bad else None
 
 
@@ -286,25 +279,27 @@ def _check_dialect(kind: str, consec: Consecution) -> None:
 
 def find_countermodel(consec: Consecution, kind: str, bounds: SearchBounds,
                       timeout_ms: Optional[int] = None, workers: int = 1):
-    """First model and world (in enumeration order) where the whole context
-    holds and the conclusion fails; ``NoneWithinBounds`` otherwise.
+    """The first model of ``enumerate_models`` with a point where the whole
+    context holds and the conclusion fails, and the least such point by label;
+    ``NoneWithinBounds`` otherwise.  ``timeout_ms`` must not be negative.
 
     The search runs in this process.  ``workers`` accepts only 1; it is kept
     for callers that still pass it and goes once the benchmark drops it."""
     if workers != 1:
         raise ValueError(f"the search runs in one process; workers={workers!r}")
+    if timeout_ms is not None and timeout_ms < 0:
+        raise ValueError(f"the timeout must not be negative, got {timeout_ms} ms")
     _check_dialect(kind, consec)
     start = time.monotonic()
     deadline = None if timeout_ms is None else start + timeout_ms / 1000.0
     examined = 0
-    for cell_index, cell in enumerate(_cells(kind, bounds)):
-        for offset, m in enumerate(_models_in_cell(kind, bounds, cell)):
-            examined += 1
-            if deadline is not None and examined % 256 == 0 and time.monotonic() > deadline:
-                return NoneWithinBounds(examined, time.monotonic() - start, True)
-            world = _violating_world(kind, m, consec)
-            if world is not None:
-                return CounterexampleFound(m, world, (cell_index, offset))
+    for m in enumerate_models(kind, bounds):
+        examined += 1
+        if deadline is not None and examined % 256 == 0 and time.monotonic() > deadline:
+            return NoneWithinBounds(examined, time.monotonic() - start, True)
+        point = _violating_world(kind, m, consec)
+        if point is not None:
+            return CounterexampleFound(m, point, examined - 1)
     return NoneWithinBounds(examined, time.monotonic() - start)
 
 

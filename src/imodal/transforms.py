@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .folm import FOMStructure, IFOMStructure
-from .models import (CNModel, IK2Model, INModel, check_inm, leq_equivalence,
-                     r_equivalence)
+from .models import (CNModel, IK2Model, INModel, bullet, check_inm,  # noqa: F401
+                     leq_equivalence, r_equivalence)
 from .orders import order_height as _order_height
 from .orders import successors
 
@@ -269,29 +269,8 @@ def coherent_completion(m: INModel, budget: TruncationBudget) -> INModel:
 
 # ---------------------------------------------------------------------------
 # Between IFOM structures and intuitionistic neighbourhood models
+# (``bullet`` lives in ``models``, whose ifom clauses read it)
 # ---------------------------------------------------------------------------
-
-def bullet(s: IFOMStructure) -> INModel:
-    """Pairs (world, state) ordered by the world order with equal states; one
-    neighbourhood per element of the neighbourhood sort."""
-    worlds = frozenset((w, x) for w in s.worlds for x in s.interp[w].states)
-    leq = frozenset(((w, x), (v, y)) for (w, x) in worlds for (v, y) in worlds
-                    if (w, v) in s.leq and x == y)
-    all_nbhds = sorted({a for w in s.worlds for a in s.interp[w].nbhds}, key=str)
-    nbhds = {}
-    for a in all_nbhds:
-        fn = {}
-        for (w, x) in worlds:
-            iw = s.interp[w]
-            if a in iw.nbhds and (x, a) in iw.relN:
-                fn[(w, x)] = frozenset((w, y) for y in iw.states if (a, y) in iw.relE)
-        nbhds[a] = fn
-    atoms = {i for w in s.worlds for i in s.interp[w].preds}
-    val = {i: frozenset((w, x) for (w, x) in worlds
-                        if x in s.interp[w].preds.get(i, frozenset()))
-           for i in atoms}
-    return INModel(worlds=worlds, leq=leq, nbhds=nbhds, val=val)
-
 
 def circle(m: INModel) -> IFOMStructure:
     """Quotient a coherent Cartesian model into an IFOM structure: worlds are

@@ -100,6 +100,13 @@ class TestEvalCommand:
                            f"{DATA}/wm_counterexample.json", "zz", "p0")
         assert code == 2 and "unknown world" in err
 
+    @pytest.mark.parametrize("point, message", [
+        ("w9/d1", "unknown world 'w9'"), ("w1/d9", "'d9' is not a state at world 'w1'")])
+    def test_unknown_ifom_point_with_trace(self, capsys, point, message):
+        code, out, err = run(capsys, "eval", "--trace", f"{DATA}/ifom_example.json",
+                             point, "<>p0")
+        assert code == 2 and out == "" and message in err
+
     def test_ik2_document(self, capsys):
         code, out, _ = run(capsys, "eval", f"{DATA}/ik2_counterexample.json", "v",
                            "[N]<E>T")
@@ -163,6 +170,26 @@ PINNED_TRACES = {
     [w] p0 : false""",
 }
 
+# the failing implication is traced at (w2, d2); the neighbourhood-sort
+# element a2 reaches d4 at w3, where p0 fails
+PINNED_IFOM_TRACE = """\
+[('w1', 'd2')] ([]T -> <>p0) -> <>p0 : true
+  holds at every successor
+  [('w1', 'd2')] []T -> <>p0 : false
+    fails at successor [('w2', 'd2')]
+    [('w2', 'd2')] []T : true
+      witnessed by a1
+      [('w2', 'd2')] T : true
+        holds at every successor
+        [('w2', 'd2')] F : false
+        [('w2', 'd2')] F : false
+    [('w2', 'd2')] <>p0 : false
+      fails at successor [('w3', 'd2')]: a2
+      [('w2', 'd2')] p0 : true
+  [('w1', 'd2')] <>p0 : false
+    fails at successor [('w3', 'd2')]: a2
+    [('w1', 'd2')] p0 : true"""
+
 
 def _random_model(rng, kind):
     bounds = search.SearchBounds(4, 2, 2)
@@ -200,6 +227,16 @@ def _named(kind, m, p, f):
     def body(x):
         return models.KINDS[kind].holds(m, x, f.sub)
 
+    if kind == "ifom":  # from the structure's own N and E, not through bullet
+        w, d = p
+        here = m.interp[w]
+        named = [a for a in here.nbhds if (d, a) in here.relN]
+        if isinstance(f, Box):
+            return [a for a in named if all(
+                body((v, y)) for v in successors(m.worlds, m.leq, w)
+                for y in m.interp[v].states if (a, y) in m.interp[v].relE)]
+        return [a for a in named
+                if not any(body((w, y)) for y in here.states if (a, y) in here.relE)]
     if kind == "inm" and isinstance(f, Box):
         return [n for n, a in m.nbhds.items() if p in a and all(
             body(x) for v in successors(m.worlds, m.leq, p) if v in a for x in a[v])]
@@ -245,7 +282,7 @@ class TestTrace:
                         assert not any(holds(m, u, f.left) and not holds(m, u, f.right)
                                        for u in earlier), line
                         at = v
-                    elif kind in ("inm", "ik2"):
+                    elif kind in ("inm", "ik2", "ifom"):
                         assert not any(_named(kind, m, u, f) for u in earlier), line
                         least = min(_named(kind, m, v, f), key=str)
                         assert line.endswith(f"]: {least}"), line
@@ -259,6 +296,12 @@ class TestTrace:
         code, out, _ = run(capsys, "eval", "--trace", f"{DATA}/{doc}", "w", formula)
         assert code == 1
         assert out.rstrip("\n") == PINNED_TRACES[doc, formula]
+
+    def test_pinned_ifom(self, capsys):
+        code, out, _ = run(capsys, "eval", "--trace", f"{DATA}/ifom_example.json",
+                           "w1/d2", "([]T -> <>p0) -> <>p0")
+        assert code == 0
+        assert out.rstrip("\n") == PINNED_IFOM_TRACE
 
     def test_independent_of_string_hashing(self):
         code = (
@@ -330,6 +373,16 @@ class TestCheckModelCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and field in err
 
+    def test_missing_field_named(self, tmp_path, capsys):
+        with open(f"{DATA}/ifom_example.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        del doc["interpretation"]["w2"]["states"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check-model", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "'interpretation.w2.states'" in err
+
     def test_invalid_document_rejected_on_eval(self, tmp_path, capsys):
         doc = {"kind": "inm", "worlds": ["w"], "order": [],
                "neighbourhoods": {"a": {"zz": []}}, "valuation": {}}
@@ -368,6 +421,7 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path_factory, data, n
     point = doc["worlds"][0]
     if doc["kind"] == "ifom":
         point += "/" + doc["interpretation"][point]["states"][0]
+    modal = "[N]p0 -> <E>p0" if doc["kind"] == "ik2" else "[]p0 -> <>p0"
     path = data.draw(st.sampled_from(list(_paths(doc))))
     parent = doc
     for key in path[:-1]:
@@ -380,6 +434,8 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path_factory, data, n
     target.write_text(json.dumps(doc))
     assert _exit_code(["check-model", str(target)]) in (0, 1, 2)
     assert _exit_code(["eval", "--no-validate", str(target), point, "p0"]) in (0, 1, 2)
+    assert _exit_code(["eval", "--no-validate", "--trace", str(target), point,
+                       modal]) in (0, 1, 2)
 
 
 class TestTranslateCommand:
@@ -458,6 +514,10 @@ class TestSearchCommand:
         code, out, err = run(capsys, "search", "p0", "--max-worlds", "0")
         assert code == 2 and out == "" and err.startswith("error:")
 
+    def test_negative_timeout_exit_code(self, capsys):
+        code, out, err = run(capsys, "search", "p0", "--timeout-ms", "-5")
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_atom_search(self, capsys):
         code, out, _ = run(capsys, "search", "--json", "p0",
                            "--max-worlds", "1", "--max-nbhds", "0")
@@ -480,6 +540,15 @@ class TestProofCommand:
         code, out, err = run(capsys, "proof", "check", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error:") and field in err
+
+    def test_missing_premise_field_named(self, tmp_path, capsys):
+        doc = {"rule": "El", "conclusion": {"context": ["p0"], "formula": "p0"},
+               "premises": [{"rule": 5}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "proof", "check", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "'premises[0].conclusion'" in err
 
     def test_repeated_atom_index(self, tmp_path, capsys):
         # "1" and "01" name the same atom; the last one wins

@@ -11,7 +11,7 @@ import imodal
 from imodal import docio
 from imodal.models import (check_full, check_ik2_frame, check_inm, eval_cnm,
                            eval_inm, validate_cnm, validate_inm)
-from imodal.folm import validate_ifom
+from imodal.folm import eval_modal_ifom, validate_ifom
 from imodal.search import (CounterexampleFound, NoneWithinBounds, SearchBounds,
                            enumerate_models, find_countermodel,
                            random_cnm, random_coherent_inm,
@@ -182,16 +182,51 @@ class TestFindCountermodel:
             find_countermodel(consecution([], parse("p0")), "inm",
                               SearchBounds(1, 0, 1), workers=2)
 
+    def test_negative_timeout_rejected(self):
+        with pytest.raises(ValueError):
+            find_countermodel(consecution([], parse("p0")), "inm",
+                              SearchBounds(1, 0, 1), timeout_ms=-5)
+
     def test_ifom_kind(self):
         result = find_countermodel(consecution([], parse("p0")), "ifom",
                                    SearchBounds(1, 1, 1))
         assert isinstance(result, CounterexampleFound)
+
+    def test_ifom_matches_pointwise_scan(self):
+        # seed 22 gives two exhausted searches, a hit at stream index 1 and
+        # one at index 7913
+        rng = random.Random(22)
+        bounds = SearchBounds(2, 1, 1)
+        hits = 0
+        for _ in range(4):
+            consec = consecution([random_formula(rng, 2, 1)], random_formula(rng, 3, 1))
+            result = find_countermodel(consec, "ifom", bounds)
+            reference = _pointwise_ifom_scan(consec, bounds)
+            if reference is None:
+                assert isinstance(result, NoneWithinBounds) and result.examined == 9434
+            else:
+                hits += 1
+                assert (result.model, result.world, result.index) == reference
+        assert hits == 2
 
     def test_classical_monotone_box_small(self):
         phi = parse("[](p0 & p1) -> []p0")
         result = find_countermodel(consecution([], phi), "classical",
                                    SearchBounds(2, 2, 2))
         assert isinstance(result, NoneWithinBounds)
+
+
+def _pointwise_ifom_scan(consec, bounds):
+    """Reference for the ifom search: ``eval_modal_ifom`` at every (world,
+    state) point of every streamed structure, points in label order; returns
+    ``(structure, point, stream index)`` of the first violation, or None."""
+    for index, s in enumerate(enumerate_models("ifom", bounds)):
+        for point in sorted(((w, x) for w in s.worlds for x in s.interp[w].states),
+                            key=str):
+            if all(eval_modal_ifom(s, *point, g) for g in consec.context) \
+                    and not eval_modal_ifom(s, *point, consec.conclusion):
+                return s, point, index
+    return None
 
 
 class TestOracle:
