@@ -5,13 +5,13 @@ test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 
 fast:
-	PYTHONPATH=src python -m pytest -q -m "not slow"
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q -m "not slow"
 
 # the fast tests, every evaluator against the independent reference semantics,
 # then the shipped examples (exits 1 on any failed check)
 check: fast
 	python3 bench/reference.py
-	PYTHONPATH=src python3 -m imodal.cli reproduce
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python3 -m imodal.cli reproduce
 
 bench:
 	for w in soundness refute constructions cli; do \

@@ -351,7 +351,8 @@ def _eval_pair(s: IFOMStructure, w, d, phi, memo) -> bool:
     if key in memo:
         return memo[key]
     m = s.interp[w]
-    up = successors(s.worlds, s.leq, w)
+    # the successors of (w, d) are the pairs (v, d) above it where d exists
+    up = [v for v in successors(s.worlds, s.leq, w) if d in s.interp[v].states]
     if isinstance(phi, Atom):
         result = d in m.preds.get(phi.index, frozenset())
     elif isinstance(phi, Falsum):
@@ -365,10 +366,13 @@ def _eval_pair(s: IFOMStructure, w, d, phi, memo) -> bool:
                      or _eval_pair(s, v, d, phi.right, memo)
                      for v in up)
     elif isinstance(phi, Box):
+        # some a N-related to d whose E-image satisfies phi.sub at every
+        # successor where a is still a neighbourhood N-related to d
         result = any(
             (d, a) in m.relN
             and all(_eval_pair(s, v, x, phi.sub, memo)
                     for v in up
+                    if a in s.interp[v].nbhds and (d, a) in s.interp[v].relN
                     for x in s.interp[v].states
                     if (a, x) in s.interp[v].relE)
             for a in m.nbhds)

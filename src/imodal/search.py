@@ -1,23 +1,25 @@
 """Bounded enumeration of finite models, countermodel search for consecutions,
 seeded random model generators, and an exhaustive validity sweep.
 
-Enumeration is deterministic and restartable: worlds are labelled ``0..n-1``,
-partial orders are generated as transitive strict relations compatible with
-the integer order (every finite poset has such a labelling, so the searched
-space is exhaustive up to isomorphism), upsets are the upward-closed subsets
-of the order (partial or pre-), and neighbourhood value maps are enumerated
-pointwise.  Formulas are evaluated through the clauses of the kind table
-``models.KINDS``, one truth set per formula and model.  ``find_countermodel``
-scans the stream of ``enumerate_models`` in one process and returns the first
-hit; its ``index`` is the model's position in that stream.
+Enumeration is deterministic and restartable.  The stream runs by world
+count, then order, then frame, then valuation.  Worlds are labelled
+``0..n-1``, and partial orders are those whose strict pairs point up the
+integer order (every finite poset has such a labelling, so the searched space
+is exhaustive up to isomorphism).  Valuations range over the upsets of the
+order (partial or pre-).  The filters of the bounds read only the frame, so
+they run once per frame.  Formulas are evaluated through the clauses of the
+kind table ``models.KINDS``, one truth set per formula and model.
+``find_countermodel`` scans the stream of ``enumerate_models`` in one process
+and returns the first hit; its ``index`` is the model's position in that
+stream.
 
 The bit-sliced sweep (``sweep_inm_validity``) checks a batch of formulas for
-validity over every intuitionistic neighbourhood model within bounds.  For
-each poset and valuation it evaluates all models with up to two
-neighbourhoods at once: a truth value is one Python int per world, with one
-bit per model.  It is an optimized equivalent of running
-``find_countermodel`` per formula, re-checks every witness with
-``eval_inm``, and is cross-checked against that reference in the test suite.
+validity over every intuitionistic neighbourhood model within bounds, at any
+neighbourhood bound.  On each order it evaluates all of the stream's frames
+at once: a truth value is one Python int per world, with one bit per frame.
+For each formula it returns the stream's first hit, the same as
+``find_countermodel``, re-checks it with ``eval_inm``, and is cross-checked
+against that reference in the test suite.
 """
 
 from __future__ import annotations
@@ -70,132 +72,98 @@ class NoneWithinBounds:
 
 
 # ---------------------------------------------------------------------------
-# Frames: posets and upsets
+# Orders, upsets and frames
 # ---------------------------------------------------------------------------
 
-def strict_posets(n: int) -> list:
-    """Transitive strict relations on 0..n-1 with edges pointing up the
-    integer order, in bitmask order."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = []
-    for mask in range(1 << len(pairs)):
-        strict = frozenset(pairs[k] for k in range(len(pairs)) if mask >> k & 1)
-        if is_transitive(strict):
-            out.append(strict)
-    return out
-
-
-def reflexive(n: int, strict) -> frozenset:
-    return frozenset((i, i) for i in range(n)) | strict
+def _orders(kind: str, n: int) -> Iterator[frozenset]:
+    """The orders on 0..n-1 that the frames of ``kind`` sit on, as reflexive
+    relations in the bitmask order of their other pairs: the identity for
+    classical, every preorder for cnm, and otherwise the partial orders whose
+    strict pairs point up the integer order."""
+    if kind == "classical":
+        pairs = []
+    elif kind == "cnm":
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    identity = frozenset((i, i) for i in range(n))
+    for extra in _subsets(pairs):
+        if is_transitive(leq := identity | extra):
+            yield leq
 
 
 def upsets_of_poset(n: int, leq) -> list:
     """The subsets of 0..n-1 closed upward along ``leq`` (a partial order or a
     preorder), smallest first."""
-    return sorted((s for s in _subsets(n) if is_upward_closed(range(n), leq, s)),
+    return sorted((s for s in _subsets(range(n)) if is_upward_closed(range(n), leq, s)),
                   key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def _subsets(n: int) -> list:
-    return [frozenset(j for j in range(n) if m >> j & 1) for m in range(1 << n)]
+def _subsets(items: Sequence) -> list:
+    """Every subset of ``items``, in the bitmask order of their positions."""
+    return [frozenset(x for k, x in enumerate(items) if m >> k & 1)
+            for m in range(1 << len(items))]
 
 
-# ---------------------------------------------------------------------------
-# Enumeration cells (the stream visits them in order)
-# ---------------------------------------------------------------------------
+# Each frame generator takes the bounds, the world count, the order and the
+# sets that atoms range over, and yields the frames on that order in stream
+# order, each as a function from a valuation to a model.
 
-def _cells(kind: str, bounds: SearchBounds) -> list:
-    if kind == "classical":
-        return [(n, None) for n in range(1, bounds.max_worlds + 1)]
-    if kind == "cnm":
-        out = []
-        for n in range(1, bounds.max_worlds + 1):
-            offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-            for mask in range(1 << len(offdiag)):
-                extra = frozenset(offdiag[k] for k in range(len(offdiag)) if mask >> k & 1)
-                if is_transitive(reflexive(n, extra)):
-                    out.append((n, extra))
-        return out
-    out = []
-    for n in range(1, bounds.max_worlds + 1):
-        out.extend((n, strict) for strict in strict_posets(n))
-    return out
+def _inm_candidates(n: int, upsets) -> list:
+    """Every neighbourhood: an upset domain with a value at each of its worlds."""
+    return [(dom, values) for dom in map(sorted, upsets)
+            for values in itertools.product(_subsets(range(n)), repeat=len(dom))]
 
 
-def _inm_candidates(n: int, leq, upsets) -> list:
-    subsets = _subsets(n)
-    cands = []
-    for dom in upsets:
-        dom_t = tuple(sorted(dom))
-        for values in itertools.product(subsets, repeat=len(dom_t)):
-            cands.append((dom_t, values))
-    return cands
+def _inm_frames(bounds: SearchBounds, n: int, leq, upsets) -> Iterator:
+    worlds = frozenset(range(n))
+    cands = _inm_candidates(n, upsets)
+    for k in range(bounds.max_nbhds + 1):
+        for combo in itertools.combinations(cands, k):
+            yield functools.partial(INModel, worlds, leq,
+                                    {f"a{i}": dict(zip(*c)) for i, c in enumerate(combo)})
 
 
-def _models_in_cell(kind: str, bounds: SearchBounds, cell) -> Iterator:
-    n, extra = cell
-    if kind == "inm":
-        leq = reflexive(n, extra)
-        upsets = upsets_of_poset(n, leq)
-        cands = _inm_candidates(n, leq, upsets)
-        worlds = frozenset(range(n))
-        for k in range(bounds.max_nbhds + 1):
-            for combo in itertools.combinations(range(len(cands)), k):
-                nbhds = {f"a{i}": dict(zip(cands[c][0], cands[c][1]))
-                         for i, c in enumerate(combo)}
-                for vals in itertools.product(upsets, repeat=bounds.max_atoms):
-                    m = INModel(worlds, leq, nbhds,
-                                {i: vals[i] for i in range(bounds.max_atoms)})
-                    if bounds.require_coherent and not check_inm(m, "coherent").ok:
-                        continue
-                    if bounds.require_cartesian and not check_inm(m, "cartesian").ok:
-                        continue
-                    yield m
-    elif kind == "classical":
-        subsets = _subsets(n)
-        worlds = frozenset(range(n))
-        for k in range(bounds.max_nbhds + 1):
-            for pool in itertools.combinations(range(len(subsets)), k):
-                pool_sets = [subsets[i] for i in pool]
-                pool_choices = [frozenset(sel) for r in range(len(pool_sets) + 1)
-                                for sel in itertools.combinations(pool_sets, r)]
-                for nf_choice in itertools.product(pool_choices, repeat=n):
-                    for vals in itertools.product(subsets, repeat=bounds.max_atoms):
-                        yield NbhdModel(worlds, dict(enumerate(nf_choice)),
-                                        {i: vals[i] for i in range(bounds.max_atoms)})
-    elif kind == "cnm":
-        rel = reflexive(n, extra)
-        worlds = frozenset(range(n))
-        upsets = upsets_of_poset(n, rel)
-        subsets = _subsets(n)
-        per_world = [frozenset(sel) for r in range(bounds.max_nbhds + 1)
-                     for sel in itertools.combinations(subsets, r)]
-        for gamma_choice in itertools.product(per_world, repeat=n):
-            for vals in itertools.product(upsets, repeat=bounds.max_atoms):
-                m = CNModel(worlds, rel, dict(enumerate(gamma_choice)),
-                            {i: vals[i] for i in range(bounds.max_atoms)})
-                if bounds.require_full and not check_full(m):
-                    continue
-                yield m
-    elif kind == "ik2":
-        leq = reflexive(n, extra)
-        worlds = frozenset(range(n))
-        upsets = upsets_of_poset(n, leq)
-        all_pairs = [(i, j) for i in range(n) for j in range(n)]
-        rels = [frozenset(all_pairs[k] for k in range(len(all_pairs)) if mask >> k & 1)
-                for mask in range(1 << len(all_pairs))]
-        # the frame conditions constrain N and E separately, so the pairs
-        # that pass are the products of the relations that pass alone
-        rels = [r for r in rels
-                if check_ik2_frame(IK2Model(worlds, leq, r, frozenset(), {})).ok]
-        for relN, relE in itertools.product(rels, repeat=2):
-            for vals in itertools.product(upsets, repeat=bounds.max_atoms):
-                yield IK2Model(worlds, leq, relN, relE,
-                               {i: vals[i] for i in range(bounds.max_atoms)})
-    elif kind == "ifom":
-        yield from _ifom_in_cell(bounds, n, extra)
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+def _classical_frames(bounds: SearchBounds, n: int, leq, subsets) -> Iterator:
+    worlds = frozenset(range(n))
+    for k in range(bounds.max_nbhds + 1):
+        for pool in itertools.combinations(subsets, k):
+            choices = [frozenset(sel) for r in range(k + 1)
+                       for sel in itertools.combinations(pool, r)]
+            for nf in itertools.product(choices, repeat=n):
+                yield functools.partial(NbhdModel, worlds, dict(enumerate(nf)))
+
+
+def _cnm_frames(bounds: SearchBounds, n: int, rel, upsets) -> Iterator:
+    worlds = frozenset(range(n))
+    per_world = [frozenset(sel) for r in range(bounds.max_nbhds + 1)
+                 for sel in itertools.combinations(_subsets(range(n)), r)]
+    for gamma in itertools.product(per_world, repeat=n):
+        yield functools.partial(CNModel, worlds, rel, dict(enumerate(gamma)))
+
+
+def _ik2_frames(bounds: SearchBounds, n: int, leq, upsets) -> Iterator:
+    worlds = frozenset(range(n))
+    # the frame conditions constrain N and E separately, so the pairs
+    # that pass are the products of the relations that pass alone
+    rels = [r for r in _subsets([(i, j) for i in range(n) for j in range(n)])
+            if check_ik2_frame(IK2Model(worlds, leq, r, frozenset(), {})).ok]
+    for relN, relE in itertools.product(rels, repeat=2):
+        yield functools.partial(IK2Model, worlds, leq, relN, relE)
+
+
+_FRAMES = {"inm": _inm_frames, "classical": _classical_frames,
+           "cnm": _cnm_frames, "ik2": _ik2_frames}
+
+
+def _filters(kind: str, bounds: SearchBounds) -> list:
+    """The checks that ``bounds`` asks of the models of ``kind``.  They read
+    only the frame, so each runs once per frame, on its model with an empty
+    valuation."""
+    checks = {"inm": [(bounds.require_coherent, lambda m: check_inm(m, "coherent").ok),
+                      (bounds.require_cartesian, lambda m: check_inm(m, "cartesian").ok)],
+              "cnm": [(bounds.require_full, check_full)]}
+    return [check for wanted, check in checks.get(kind, []) if wanted]
 
 
 def _supersets(base: frozenset, pool: Sequence) -> list:
@@ -204,36 +172,40 @@ def _supersets(base: frozenset, pool: Sequence) -> list:
             for sel in itertools.combinations(extra, r)]
 
 
-def _ifom_in_cell(bounds: SearchBounds, n: int, strict) -> Iterator:
-    leq = reflexive(n, strict)
+def _union_below(interp: dict, leq, w: int, atoms: int) -> FOMStructure:
+    """The union of the structures at the worlds below ``w`` among 0..w-1."""
+    lows = [interp[v] for v in range(w) if (v, w) in leq]
+    return FOMStructure(
+        frozenset().union(*(m.states for m in lows)),
+        frozenset().union(*(m.nbhds for m in lows)),
+        frozenset().union(*(m.relN for m in lows)),
+        frozenset().union(*(m.relE for m in lows)),
+        {i: frozenset().union(*(m.preds.get(i, frozenset()) for m in lows))
+         for i in range(atoms)})
+
+
+def _ifom_structures(bounds: SearchBounds, n: int, leq) -> Iterator:
+    """The growing structures on the order ``leq``: each world's structure
+    contains the union of those below it."""
     state_pool = tuple(range(bounds.max_worlds))
     nbhd_pool = tuple(range(bounds.max_nbhds))
     atoms = range(bounds.max_atoms)
-
-    def below(w):
-        return [v for v in range(w) if (v, w) in leq]
 
     def go(w: int, interp: dict):
         if w == n:
             yield IFOMStructure(frozenset(range(n)), leq, dict(interp))
             return
-        lows = [interp[v] for v in below(w)]
-        base_s = frozenset().union(*(m.states for m in lows)) if lows else frozenset()
-        base_n = frozenset().union(*(m.nbhds for m in lows)) if lows else frozenset()
-        base_rn = frozenset().union(*(m.relN for m in lows)) if lows else frozenset()
-        base_re = frozenset().union(*(m.relE for m in lows)) if lows else frozenset()
-        base_p = {i: (frozenset().union(*(m.preds.get(i, frozenset()) for m in lows))
-                      if lows else frozenset()) for i in atoms}
-        for states in _supersets(base_s, state_pool):
+        base = _union_below(interp, leq, w, bounds.max_atoms)
+        for states in _supersets(base.states, state_pool):
             if not states:
                 continue
-            for nbhds in _supersets(base_n, nbhd_pool):
+            for nbhds in _supersets(base.nbhds, nbhd_pool):
                 rn_pool = [(x, a) for x in sorted(states) for a in sorted(nbhds)]
                 re_pool = [(a, x) for a in sorted(nbhds) for x in sorted(states)]
-                for relN in _supersets(base_rn, rn_pool):
-                    for relE in _supersets(base_re, re_pool):
+                for relN in _supersets(base.relN, rn_pool):
+                    for relE in _supersets(base.relE, re_pool):
                         for pred_sets in itertools.product(
-                                *(_supersets(base_p[i], sorted(states)) for i in atoms)):
+                                *(_supersets(base.preds[i], sorted(states)) for i in atoms)):
                             interp[w] = FOMStructure(
                                 states, nbhds, relN, relE,
                                 {i: pred_sets[i] for i in atoms})
@@ -245,11 +217,21 @@ def _ifom_in_cell(bounds: SearchBounds, n: int, strict) -> Iterator:
 
 def enumerate_models(kind: str, bounds: SearchBounds) -> Iterator:
     """Deterministic, restartable stream of all models of ``kind`` within the
-    bounds."""
+    bounds: by world count, then order, then frame, then valuation."""
     if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    for cell in _cells(kind, bounds):
-        yield from _models_in_cell(kind, bounds, cell)
+    filters = _filters(kind, bounds)
+    for n in range(1, bounds.max_worlds + 1):
+        for leq in _orders(kind, n):
+            if kind == "ifom":
+                yield from _ifom_structures(bounds, n, leq)
+                continue
+            # classical valuations are all subsets, in bitmask order
+            sets = _subsets(range(n)) if kind == "classical" else upsets_of_poset(n, leq)
+            for frame in _FRAMES[kind](bounds, n, leq, sets):
+                if all(check(frame({})) for check in filters):
+                    for vals in itertools.product(sets, repeat=bounds.max_atoms):
+                        yield frame(dict(enumerate(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +348,7 @@ def random_cnm(rng, bounds: SearchBounds) -> CNModel:
     gamma = {w: frozenset(frozenset(v for v in worlds if rng.random() < 0.5)
                           for _ in range(rng.randint(0, bounds.max_nbhds)))
              for w in worlds}
-    val = {}
-    for i in range(bounds.max_atoms):
-        seed = {w for w in worlds if rng.random() < 0.4}
-        val[i] = frozenset(v for v in worlds if any((w, v) in rel for w in seed))
+    val = {i: _random_upset(rng, worlds, rel) for i in range(bounds.max_atoms)}
     return CNModel(worlds, rel, gamma, val)
 
 
@@ -380,13 +359,10 @@ def random_ifom(rng, max_worlds: int = 4, max_states: int = 3,
     order = list(range(n))
     interp = {}
     for w in order:
-        lows = [interp[v] for v in range(w) if (v, w) in leq]
-        states = set().union(*(m.states for m in lows)) if lows else set()
-        nbhds = set().union(*(m.nbhds for m in lows)) if lows else set()
-        relN = set().union(*(m.relN for m in lows)) if lows else set()
-        relE = set().union(*(m.relE for m in lows)) if lows else set()
-        preds = {i: set().union(*(m.preds.get(i, frozenset()) for m in lows))
-                 if lows else set() for i in range(max_atoms)}
+        base = _union_below(interp, leq, w, max_atoms)
+        states, nbhds = set(base.states), set(base.nbhds)
+        relN, relE = set(base.relN), set(base.relE)
+        preds = {i: set(p) for i, p in base.preds.items()}
         for d in range(max_states):
             if f"d{d}" not in states and rng.random() < 0.5:
                 states.add(f"d{d}")
@@ -445,43 +421,51 @@ def random_formula(rng, max_depth: int, atom_count: int = 2,
 # ---------------------------------------------------------------------------
 
 def sweep_inm_validity(formulas: Sequence[Formula], bounds: SearchBounds):
-    """For each formula, scan every intuitionistic neighbourhood model within
-    the bounds (neighbourhood count at most two) and report ``None`` when the
-    formula holds at every world of every model, else a witness
-    ``(model, world)`` that ``eval_inm`` has re-checked.
+    """For each formula, ``find_countermodel``'s hit for it over the
+    intuitionistic neighbourhood models within the bounds: ``None`` when the
+    formula holds at every world of every model, else the first model of the
+    stream with a failing world and the least such world, re-checked with
+    ``eval_inm``.
 
-    Within one poset and valuation, the models form a batch: every multiset
-    of ``max_nbhds`` candidate neighbourhoods, in
-    ``combinations_with_replacement`` order.  Candidate 0 has an empty domain
-    and stands for "no neighbourhood", so one batch covers every count from 0
-    to ``max_nbhds``.  A truth value is a list of one int per world whose bit
-    ``b`` says whether the formula holds there in model ``b`` of the batch.
+    The frames on one order form a batch, in stream order: every
+    ``k``-combination of the candidate neighbourhoods, for ``k`` from 0 to
+    ``max_nbhds``, one bit per frame.  A truth value is a list of one int per
+    world whose bit ``b`` says whether the formula holds there on frame ``b``.
+    The filters of the bounds run once per frame and mask the batch.  The hit
+    on an order is its least failing frame, with the first valuation on
+    which that frame fails.
     """
-    if bounds.max_nbhds > 2:
-        raise ValueError("the bit-sliced sweep supports at most two neighbourhoods")
     results: list = [None] * len(formulas)
     pending = set(range(len(formulas)))
+    filters = _filters("inm", bounds)
     for n in range(1, bounds.max_worlds + 1):
-        for strict in strict_posets(n):
+        for leq in _orders("inm", n):
             if not pending:
                 return results
-            _sweep_cell(formulas, bounds, n, strict, results, pending)
+            _sweep_order(formulas, bounds, filters, n, leq, results, pending)
     return results
 
 
-def _slot_vector(pred: int, count: int, k: int, slot: int) -> int:
-    """Spread a bit vector over ``count`` candidates to the batch of
-    ``k``-multisets of them (``k`` at most two): bit ``b`` of the result is
-    the bit of the ``slot``-th candidate of the ``b``-th multiset."""
-    if k == 1:
-        return pred
+def _slot_vector(pred: int, count: int, max_k: int, slot: int) -> int:
+    """Spread a bit vector over ``count`` candidates to the batch of their
+    combinations of 0 to ``max_k`` candidates, by size and then in
+    ``itertools.combinations`` order: bit ``b`` of the result is the bit of
+    the ``slot``-th candidate of the ``b``-th combination, and 0 where that
+    combination has no ``slot``-th candidate."""
+    def spread(bits: str, k: int, slot: int) -> str:
+        if k == 1:
+            return bits
+        # the combinations that start with candidate i are i followed by
+        # each (k-1)-combination of the candidates after it
+        heads = range(len(bits) - k + 1)
+        if slot == 0:
+            return "".join(bits[i] * math.comb(len(bits) - i - 1, k - 1) for i in heads)
+        return "".join(spread(bits[i + 1:], k - 1, slot - 1) for i in heads)
+
     bits = format(pred, f"0{count}b")[::-1]
-    # the multisets that start with candidate i are (i, i), (i, i+1), ...
-    if slot == 0:
-        spread = "".join(bits[i] * (count - i) for i in range(count))
-    else:
-        spread = "".join(bits[i:] for i in range(count))
-    return int(spread[::-1], 2)
+    batch = "".join(spread(bits, k, slot) if k > slot else "0" * math.comb(count, k)
+                    for k in range(max_k + 1))
+    return int(batch[::-1], 2)
 
 
 def _meet(vectors: list) -> int:
@@ -492,15 +476,18 @@ def _join(vectors: list) -> int:
     return functools.reduce(operator.or_, vectors, 0)
 
 
-def _sweep_cell(formulas, bounds, n, strict, results, pending):
-    leq = reflexive(n, strict)
+def _sweep_order(formulas, bounds, filters, n, leq, results, pending):
     worlds = range(n)
     up = [[v for v in worlds if (w, v) in leq] for w in worlds]
     upsets = upsets_of_poset(n, leq)
-    cands = _inm_candidates(n, leq, upsets)  # cands[0] has the empty domain
-    k = bounds.max_nbhds
-    batch = math.comb(len(cands) + k - 1, k)
-    full = (1 << batch) - 1
+    cands = _inm_candidates(n, upsets)
+    full = (1 << sum(math.comb(len(cands), k) for k in range(bounds.max_nbhds + 1))) - 1
+    frames = functools.partial(_inm_frames, bounds, n, leq, upsets)
+    live = full if not filters else int("".join(
+        "1" if all(check(frame({})) for check in filters) else "0"
+        for frame in frames())[::-1], 2)
+    if not live:
+        return
 
     # per-candidate predicates: v in the domain, u in the value at v
     dom = [0] * n
@@ -510,9 +497,12 @@ def _sweep_cell(formulas, bounds, n, strict, results, pending):
             dom[v] |= 1 << c
             for u in value:
                 val[v][u] |= 1 << c
-    slots = [([_slot_vector(d, len(cands), k, s) for d in dom],
-              [[_slot_vector(x, len(cands), k, s) for x in row] for row in val])
-             for s in range(k)]
+
+    def spread(pred: int, slot: int) -> int:
+        return _slot_vector(pred, len(cands), bounds.max_nbhds, slot)
+
+    slots = [([spread(d, s) for d in dom], [[spread(x, s) for x in row] for row in val])
+             for s in range(bounds.max_nbhds)]
 
     def ev(phi, atoms, memo):
         r = memo.get(phi)
@@ -554,23 +544,23 @@ def _sweep_cell(formulas, bounds, n, strict, results, pending):
         memo[phi] = r
         return r
 
+    hits: dict = {}  # formula -> (least failing frame, first valuation, world)
     for vals in itertools.product(upsets, repeat=bounds.max_atoms):
         atoms = [[full if w in ext else 0 for w in worlds] for ext in vals]
         memo: dict = {}
         for fi in sorted(pending):
-            phi = formulas[fi]
-            t = ev(phi, atoms, memo)
-            failing = full ^ _meet(t)
+            t = ev(formulas[fi], atoms, memo)
+            failing = live & ~_meet(t)
             if not failing:
                 continue
             b = (failing & -failing).bit_length() - 1
-            world = next(w for w in worlds if not t[w] >> b & 1)
-            combo = next(itertools.islice(
-                itertools.combinations_with_replacement(range(len(cands)), k), b, None))
-            nbhds = {f"a{i}": dict(zip(*cands[c]))
-                     for i, c in enumerate(sorted(set(combo) - {0}))}
-            model = INModel(frozenset(worlds), leq, nbhds, dict(enumerate(vals)))
-            if eval_inm(model, world, phi):
-                raise RuntimeError(f"sweep witness for {phi} does not re-check")
-            results[fi] = (model, world)
-            pending.discard(fi)
+            if fi not in hits or b < hits[fi][0]:
+                world = min((w for w in worlds if not t[w] >> b & 1), key=str)
+                hits[fi] = (b, vals, world)
+    for fi, (b, vals, world) in hits.items():
+        frame = next(itertools.islice(frames(), b, None))
+        model = frame(dict(enumerate(vals)))
+        if eval_inm(model, world, formulas[fi]):
+            raise RuntimeError(f"sweep witness for {formulas[fi]} does not re-check")
+        results[fi] = (model, world)
+        pending.discard(fi)

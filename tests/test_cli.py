@@ -117,6 +117,19 @@ class TestEvalCommand:
                            "<>p0")
         assert code == 0
 
+    @pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
+    def test_non_growing_ifom_document(self, capsys, tmp_path, trace):
+        # d is no state at w2 above w1, so (w2, d) is no point above (w1, d)
+        # and ~p0 holds there; the direct evaluation once looked at it anyway
+        doc = {"kind": "ifom", "worlds": ["w1", "w2"], "order": [["w1", "w2"]],
+               "interpretation": {"w1": {"states": ["d"]},
+                                  "w2": {"states": ["e"], "preds": {"0": ["d"]}}}}
+        path = tmp_path / "shrinking.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "eval", "--no-validate", *trace, str(path), "w1/d",
+                           "~p0")
+        assert code == 0 and out.splitlines()[0].endswith("true")
+
 
 PINNED_TRACES = {
     ("inm_box_bot_counterexample.json", "[]T -> <>T"): """\

@@ -1,13 +1,15 @@
+import random
+
 import pytest
 
-from imodal.folm import (FO_FALSUM, FOMStructure, SortMismatchError,
+from imodal.folm import (FO_FALSUM, FOMStructure, IFOMStructure, SortMismatchError,
                          UnboundVariableError, Var, classical_bullet,
                          classical_circle, eval_fo_classical, eval_fo_kripke,
                          eval_modal_ifom, free_vars, show_fo,
                          standard_translation, validate_fom, validate_ifom,
                          well_sorted)
-from imodal.models import NbhdModel, eval_classical
-from imodal.search import random_formula, random_ifom
+from imodal.models import NbhdModel, bullet, eval_classical, eval_inm
+from imodal.search import random_formula, random_ifom, random_poset
 from imodal.syntax import parse
 
 X = Var("s", "x")
@@ -123,6 +125,39 @@ class TestPairEvaluation:
                     for d in s.interp[w].states:
                         assert eval_modal_ifom(s, w, d, phi) == \
                             eval_fo_kripke(s, w, st, {X: d})
+
+
+def _arbitrary_ifom(rng) -> IFOMStructure:
+    """Structures that need not grow along the order: each world draws its
+    states, neighbourhoods, relations and predicates afresh, and the
+    relations and predicates may name elements absent at that world."""
+    states, nbhds = ["d0", "d1", "d2"], ["n0", "n1"]
+    n = rng.randint(1, 3)
+    leq = random_poset(rng, n)
+    interp = {}
+    for w in range(n):
+        here = frozenset(x for x in states if rng.random() < 0.6) or frozenset(["d0"])
+        interp[w] = FOMStructure(
+            here, frozenset(a for a in nbhds if rng.random() < 0.6),
+            frozenset((x, a) for x in states for a in nbhds if rng.random() < 0.5),
+            frozenset((a, x) for a in nbhds for x in states if rng.random() < 0.5),
+            {0: frozenset(x for x in states if rng.random() < 0.4)})
+    return IFOMStructure(frozenset(range(n)), leq, interp)
+
+
+class TestNonGrowingStructures:
+    def test_direct_evaluation_agrees_with_bullet(self):
+        # the points above (w, d) are the (v, d) with d a state at v, and a
+        # neighbourhood counts at v only while it is one there, N-related to d
+        rng = random.Random(31)
+        for _ in range(150):
+            s = _arbitrary_ifom(rng)
+            image = bullet(s)
+            for _ in range(4):
+                phi = random_formula(rng, 3, 1)
+                for w in s.worlds:
+                    for d in s.interp[w].states:
+                        assert eval_modal_ifom(s, w, d, phi) == eval_inm(image, (w, d), phi)
 
 
 class TestClassicalMaps:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -16,7 +17,8 @@ from imodal.search import (CounterexampleFound, NoneWithinBounds, SearchBounds,
                            enumerate_models, find_countermodel,
                            random_cnm, random_coherent_inm,
                            random_formula, random_ifom, random_inm,
-                           strict_posets, sweep_inm_validity, upsets_of_poset)
+                           sweep_inm_validity, upsets_of_poset, _orders,
+                           _slot_vector)
 from imodal.syntax import (FALSUM, Atom, Box, Dia, Implies, consecution, parse,
                            substitute)
 
@@ -46,6 +48,22 @@ STREAM_DIGESTS = {
     "ifom": ((2, 1, 1), 9434,
              "55ac83a25674a95d752add9d76e34b85d3034823918c87b1379430e5ba22dc61"),
 }
+
+# The same for filtered streams, recorded while the filters still ran on
+# every model rather than once per frame.
+FILTERED_STREAM_DIGESTS = {
+    "inm-coherent": ("inm", SearchBounds(3, 1, 1, require_coherent=True), 13124,
+                     "96951fb4ee356fea0f357ed117074e4da71554a184e11c237c8dc6af943979e6"),
+    "inm-cartesian": ("inm", SearchBounds(2, 2, 1, require_cartesian=True), 565,
+                      "8c07a7183178387333be85c05eac8fe368c46de10b56c38b85c5878335421e2e"),
+    "cnm-full": ("cnm", SearchBounds(2, 2, 1, require_full=True), 1360,
+                 "a290ea6f216fd8fe619b41bb247b66e1ae76c1fe18918159631f6298ead80cbe"),
+}
+
+
+def _stream_digest(kind: str, bounds: SearchBounds):
+    docs = [docio.model_to_doc(m) for m in enumerate_models(kind, bounds)]
+    return len(docs), hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
 
 
 class TestEnumeration:
@@ -99,16 +117,22 @@ class TestEnumeration:
     @pytest.mark.parametrize("kind", sorted(STREAM_DIGESTS))
     def test_enumeration_order_is_pinned(self, kind):
         bounds, count, digest = STREAM_DIGESTS[kind]
-        docs = [docio.model_to_doc(m) for m in enumerate_models(kind, SearchBounds(*bounds))]
-        assert len(docs) == count
-        assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == digest
+        assert _stream_digest(kind, SearchBounds(*bounds)) == (count, digest)
+
+    @pytest.mark.parametrize("name", sorted(FILTERED_STREAM_DIGESTS))
+    def test_filtered_enumeration_order_is_pinned(self, name):
+        kind, bounds, count, digest = FILTERED_STREAM_DIGESTS[name]
+        assert _stream_digest(kind, bounds) == (count, digest)
 
     def test_posets_are_transitive(self):
-        for strict in strict_posets(3):
-            for (a, b) in strict:
-                for (b2, c) in strict:
-                    if b2 == b:
-                        assert (a, c) in strict
+        # the labelled posets whose strict pairs point up number 1, 2, 7, 40
+        for n, count in enumerate([1, 2, 7, 40], 1):
+            orders = list(_orders("inm", n))
+            assert len(orders) == len(set(orders)) == count
+            for leq in orders:
+                assert all((i, i) in leq for i in range(n))
+                assert all(a <= b for (a, b) in leq)
+                assert all((a, c) in leq for (a, b) in leq for (b2, c) in leq if b2 == b)
 
     def test_upsets_of_poset(self):
         leq = frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)})
@@ -309,27 +333,44 @@ def _sweep_batch(atom_count: int) -> list:
     return formulas
 
 
+def _search_hit(phi, bounds):
+    """``find_countermodel``'s hit for ``phi`` over inm as ``(model, world)``,
+    or None when the search exhausts the bounds."""
+    result = find_countermodel(consecution([], phi), "inm", bounds)
+    return (result.model, result.world) if isinstance(result, CounterexampleFound) else None
+
+
 class TestSweep:
     def test_matches_streaming_reference(self):
         # the larger spaces take every stride-th formula: the streaming
         # reference needs about a second per valid formula there
         for bounds, stride in [(SearchBounds(2, 0, 1), 1), (SearchBounds(2, 1, 1), 1),
                                (SearchBounds(2, 2, 1), 1), (SearchBounds(2, 2, 2), 3),
-                               (SearchBounds(3, 1, 1), 5)]:
+                               (SearchBounds(3, 1, 1), 5), (SearchBounds(2, 3, 1), 6),
+                               (SearchBounds(2, 2, 1, require_coherent=True), 2),
+                               (SearchBounds(2, 1, 1, require_cartesian=True), 1)]:
             formulas = _sweep_batch(bounds.max_atoms)[::stride]
             verdicts = sweep_inm_validity(formulas, bounds)
             assert any(v is None for v in verdicts), bounds
             assert any(v is not None for v in verdicts), bounds
             for phi, witness in zip(formulas, verdicts):
-                reference = find_countermodel(consecution([], phi), "inm", bounds)
-                assert (witness is None) == isinstance(reference, NoneWithinBounds), \
-                    (bounds, str(phi))
+                assert witness == _search_hit(phi, bounds), (bounds, str(phi))
                 if witness is not None:
                     model, world = witness
                     assert validate_inm(model) == []
                     assert not eval_inm(model, world, phi)
                     assert len(model.nbhds) <= bounds.max_nbhds
                     assert len(model.worlds) <= bounds.max_worlds
+
+    @pytest.mark.parametrize("level", ["coherent", "cartesian"])
+    def test_witnesses_pass_the_filters(self, level):
+        # the filters once went unread here: at (2, 1, 1) the witness for
+        # ([]F -> <>T) -> <>T was neither coherent nor Cartesian
+        bounds = SearchBounds(2, 1, 1, **{f"require_{level}": True})
+        witnesses = [v for v in sweep_inm_validity(_sweep_batch(1), bounds) if v]
+        assert witnesses
+        for model, _ in witnesses:
+            assert check_inm(model, level).ok
 
     def test_no_neighbourhood_witness(self):
         # <>F holds just where no neighbourhood reaches, so the first witness
@@ -338,9 +379,25 @@ class TestSweep:
         assert model.nbhds == {}
         assert not eval_inm(model, world, parse("<>F -> F"))
 
-    def test_rejects_large_neighbourhood_bounds(self):
-        with pytest.raises(ValueError):
-            sweep_inm_validity([parse("p0")], SearchBounds(1, 3, 1))
+    def test_slot_vectors_follow_combinations(self):
+        # bit b of a slot vector is the bit of the slot-th candidate of the
+        # b-th combination of 0 to max_k candidates, or 0 if it has fewer
+        pred = 0b1011001101
+        for max_k in range(5):
+            batch = [c for k in range(max_k + 1) for c in itertools.combinations(range(10), k)]
+            for slot in range(max_k):
+                vector = _slot_vector(pred, 10, max_k, slot)
+                assert vector >> len(batch) == 0
+                assert all((vector >> b & 1) == (len(c) > slot and pred >> c[slot] & 1)
+                           for b, c in enumerate(batch))
+
+    def test_three_neighbourhoods(self):
+        # no limit on the neighbourhood count: at (1, 3, 1) too the sweep
+        # returns the search's hits
+        formulas = _sweep_batch(1)
+        bounds = SearchBounds(1, 3, 1)
+        verdicts = sweep_inm_validity(formulas, bounds)
+        assert verdicts == [_search_hit(phi, bounds) for phi in formulas]
 
     def test_import_leaves_numpy_out(self):
         loaded = _run_python("import sys, imodal, imodal.cli, imodal.search; "
