@@ -45,18 +45,19 @@ def _load_model(path: str, validate: bool = True):
 # Evaluation trace
 # ---------------------------------------------------------------------------
 
-def _note(exists, found, point, successors) -> str:
+def _note(exists, found, i, successors, points) -> str:
     """The trace note for a clause read as ``(exists, found)`` (see
-    ``models``): whether ``point`` has a witness, or the first successor by
-    label that refutes the clause, with what refutes it there."""
+    ``models``) at the point of index ``i``: whether it has a witness, or
+    the first successor by label that refutes the clause, with what refutes
+    it there."""
     if exists:
-        if point not in found:
+        if i not in found:
             return "no witness"
-        return "witnessed" if found[point] is None else f"witnessed by {found[point]}"
+        return "witnessed" if found[i] is None else f"witnessed by {found[i]}"
     v = next((v for v in successors if v in found), None)
     if v is None:
         return "holds at every successor"
-    return f"fails at successor [{v}]" + ("" if found[v] is None else f": {found[v]}")
+    return f"fails at successor [{points[v]}]" + ("" if found[v] is None else f": {found[v]}")
 
 
 def trace_eval(kind, model, point, phi):
@@ -68,37 +69,38 @@ def trace_eval(kind, model, point, phi):
     ``(value, lines)``."""
     spec = models.KINDS[kind]
     spec.holds(model, point, syntax.FALSUM)  # raises at an unknown point
-    up, val, modal = spec.clauses(model)
+    points, up, val, modal = spec.clauses(model)
     memo: dict = {}
     models._truth_set(up, val, modal, phi, memo)
 
-    def holds(p, f):
-        return p in memo[f]
+    def holds(i, f):
+        return bool(memo[f] >> i & 1)
 
-    def successors(p):
-        return sorted(up[p], key=str)
+    def successors(i):
+        return [v for v in range(len(points)) if up[i] >> v & 1]
 
     lines = []
 
-    def walk(p, f, pad):
-        lines.append(f"{pad}[{p}] {show(f)} : {str(holds(p, f)).lower()}")
+    def walk(i, f, pad):
+        lines.append(f"{pad}[{points[i]}] {show(f)} : {str(holds(i, f)).lower()}")
         if isinstance(f, (syntax.And, syntax.Or)):
-            walk(p, f.left, pad + "  ")
-            walk(p, f.right, pad + "  ")
+            walk(i, f.left, pad + "  ")
+            walk(i, f.right, pad + "  ")
         elif isinstance(f, syntax.Implies):
-            failing = [v for v in successors(p)
+            failing = [v for v in successors(i)
                        if holds(v, f.left) and not holds(v, f.right)]
-            lines.append(f"{pad}  {_note(False, dict.fromkeys(failing), p, failing)}")
-            at = failing[0] if failing else p
+            lines.append(f"{pad}  {_note(False, dict.fromkeys(failing), i, failing, points)}")
+            at = failing[0] if failing else i
             walk(at, f.left, pad + "  ")
             walk(at, f.right, pad + "  ")
         elif not isinstance(f, (syntax.Atom, syntax.Falsum)):
             exists, found = modal(f, memo[f.sub])
-            lines.append(f"{pad}  {_note(exists, found, p, successors(p))}")
-            walk(p, f.sub, pad + "  ")
+            lines.append(f"{pad}  {_note(exists, found, i, successors(i), points)}")
+            walk(i, f.sub, pad + "  ")
 
-    walk(point, phi, "")
-    return holds(point, phi), lines
+    at = points.index(point)
+    walk(at, phi, "")
+    return holds(at, phi), lines
 
 
 # ---------------------------------------------------------------------------

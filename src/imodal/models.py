@@ -7,29 +7,36 @@ Cartesian / fullness / frame-condition checks and isomorphism search.
 Every kind is intuitionistic at its base: one shared core (``_truth_set``)
 evaluates atoms, the connectives and implication along the kind's order (the
 identity for classical models, which makes implication material), and each
-kind supplies only its modal clauses.  ``clauses_<kind>(m)`` returns
-``(up, val, modal)``: ``up`` maps each point to its up-set, ``val`` maps each
-atom index to the points where it holds, and ``modal(f, t)`` decides a modal
-node ``f`` whose body holds exactly on ``t``, returning ``(exists, found)``.
-An existential clause (``exists`` true) holds exactly at the keys of
-``found``, each mapped to its witness; a universal one fails exactly at the
-points whose up-set meets the keys of ``found``, each mapped to what refutes
-the clause there.  Named witnesses (neighbourhood names, worlds) are the least
-by label; the unnamed neighbourhoods of classical and constructive models map
-to ``None``.  The points of a model are its worlds, except that the points of
-a first-order structure are its (world, state) pairs: its clauses are those
-of its neighbourhood-model image ``bullet``, whose worlds are exactly those
-pairs.  Search and ``eval --trace`` read these clauses for every kind.  Truth
-sets are computed bottom-up with a per-call memo keyed on subformulas, so
-repeated subformulas cost nothing.  Models are immutable after construction;
-validation never repairs, it reports witnesses.  ``KINDS`` at the end of the
-module holds, per kind, the model class, dialects, evaluator, clauses,
-validator and check levels.
+kind supplies only its modal clauses.  Truth sets are int bitmasks over the
+points of a model numbered in label order (``sorted(points, key=str)``), so
+the connectives are bitwise operations, and implication holds at the points
+whose up-set mask misses ``left & ~right``.  ``clauses_<kind>(m)`` returns
+``(points, up, val, modal)``: ``points`` in label order, ``up`` the up-set
+mask of each point, ``val`` the mask of each atom index, and ``modal(f, t)``
+decides a modal node ``f`` whose body holds exactly on the mask ``t``,
+returning ``(exists, found)``.  An existential clause (``exists`` true) holds
+exactly at the point indices that key ``found``, each mapped to its witness;
+a universal one fails exactly at the points whose up-set meets those keys,
+each mapped to what refutes the clause there.  Named witnesses (neighbourhood
+names, worlds) are the least by label; the unnamed neighbourhoods of
+classical and constructive models map to ``None``.  The points of a model
+are its worlds, except that the points of a first-order structure are its
+(world, state) pairs: its clauses are those of its neighbourhood-model image
+``bullet``, whose worlds are exactly those pairs.  Search and ``eval
+--trace`` read these clauses for every kind.  Truth sets are computed
+bottom-up with a memo keyed on the (hash-consed) subformulas, so repeated
+subformulas cost nothing; ``truth_set_<kind>`` turns the mask into a
+frozenset of points, and a memo that a caller shares across calls on one
+model also keeps that model's clauses, so they are built once.  Models are
+immutable after construction; validation never repairs, it reports
+witnesses.  ``KINDS`` at the end of the module holds, per kind, the model
+class, dialects, evaluator, clauses, validator and check levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Mapping
 
 from .folm import IFOMStructure, eval_modal_ifom, validate_ifom
@@ -183,110 +190,154 @@ def validate_ik2(m: IK2Model) -> list:
 # Evaluation (truth sets)
 # ---------------------------------------------------------------------------
 
-def _ups(worlds, rel) -> dict:
-    return {w: successors(worlds, rel, w) for w in worlds}
+def _numbered(points):
+    """The points in label order, and the bit of each."""
+    pts = sorted(points, key=str)
+    return pts, {p: 1 << i for i, p in enumerate(pts)}
 
 
-def _avoiding(up, bad) -> frozenset:
-    """The worlds none of whose successors lie in ``bad``."""
-    return frozenset(w for w, ups in up.items() if ups.isdisjoint(bad))
+def _mask(bit, points) -> int:
+    """The mask of the set ``points``; what is not a numbered point is left out."""
+    return sum(map(bit.get, points, repeat(0)))
 
 
-def _truth_set(up, val, modal, phi: Formula, memo: dict) -> frozenset:
+def _bits(indices) -> int:
+    """The mask with the bits of the given distinct point indices set."""
+    return sum(map((1).__lshift__, indices))
+
+
+def _ups(pts, bit, rel) -> list:
+    """The up-set mask of each point along ``rel``."""
+    up = dict.fromkeys(pts, 0)
+    for a, b in rel:
+        if a in up:
+            up[a] |= bit.get(b, 0)
+    return list(up.values())
+
+
+def _valuation(bit, val) -> dict:
+    return {i: _mask(bit, ext) for i, ext in val.items()}
+
+
+def _avoiding(up, bad: int) -> int:
+    """The points none of whose successors lie in ``bad``."""
+    out, bit = 0, 1
+    for u in up:
+        if not u & bad:
+            out |= bit
+        bit <<= 1
+    return out
+
+
+def _truth_set(up, val, modal, phi: Formula, memo: dict) -> int:
     """The intuitionistic core that every kind shares: atoms, falsum, the
-    connectives, and implication along the order given by ``up`` (world ->
-    up-set).  ``modal(f, t)`` is the kind's clause for a modal node ``f``
-    whose body has the truth set ``t``; the kinds differ only in that
-    function."""
+    connectives, and implication along the order given by ``up`` (the
+    up-set mask of each point).  ``modal(f, t)`` is the kind's clause for a
+    modal node ``f`` whose body has the truth set ``t``; the kinds differ
+    only in that function.  Truth sets are masks over the numbered points."""
     result = memo.get(phi)
     if result is not None:
         return result
-    if isinstance(phi, Atom):
-        result = frozenset(val.get(phi.index, frozenset()))
-    elif isinstance(phi, Falsum):
-        result = frozenset()
-    elif isinstance(phi, (And, Or, Implies)):
+    kind = type(phi)
+    if kind is Atom:
+        result = val.get(phi.index, 0)
+    elif kind is Falsum:
+        result = 0
+    elif kind is And or kind is Or or kind is Implies:
         x = _truth_set(up, val, modal, phi.left, memo)
         y = _truth_set(up, val, modal, phi.right, memo)
-        if isinstance(phi, And):
+        if kind is And:
             result = x & y
-        elif isinstance(phi, Or):
+        elif kind is Or:
             result = x | y
         else:
-            result = _avoiding(up, x - y)
+            result = _avoiding(up, x & ~y)
     else:
         exists, found = modal(phi, _truth_set(up, val, modal, phi.sub, memo))
-        result = frozenset(found) if exists else _avoiding(up, found)
+        result = _bits(found) if exists else _avoiding(up, _bits(found))
     memo[phi] = result
     return result
 
 
-def _by_label(items, key):
-    """``items`` in reverse label order of ``key``, so that a dict built from
-    them keeps, for each of its keys, the witness with the least label."""
-    return sorted(items, key=lambda item: str(key(item)), reverse=True)
+def _members(bit, pts, families) -> list:
+    """``(index, mask)`` for each set in the family of each point."""
+    return [(i, _mask(bit, a)) for i, w in enumerate(pts) for a in families.get(w, ())]
 
 
 def clauses_classical(m: NbhdModel):
+    pts, bit = _numbered(m.worlds)
+    members = _members(bit, pts, m.nf)
+
     def modal(f, t):
         if isinstance(f, Box):
-            return True, {w: None for w in m.worlds
-                          if any(a <= t for a in m.nf.get(w, frozenset()))}
+            return True, {w: None for w, a in members if not a & ~t}
         if isinstance(f, Dia):
-            return False, {w: None for w in m.worlds
-                           if any(not (a & t) for a in m.nf.get(w, frozenset()))}
+            return False, {w: None for w, a in members if not a & t}
         raise TypeError(f"not a modal-dialect formula: {f!r}")
 
     # every world sees only itself, so implication is material
-    return {w: frozenset((w,)) for w in m.worlds}, m.val, modal
+    return pts, list(bit.values()), _valuation(bit, m.val), modal
 
 
 def clauses_inm(m: INModel):
-    up = _ups(m.worlds, m.leq)
-    named = _by_label(m.nbhds.items(), lambda kv: kv[0])
+    pts, bit = _numbered(m.worlds)
+    index = {p: i for i, p in enumerate(pts)}
+    up = _ups(pts, bit, m.leq)
+    # in reverse label order, so that the least name is the witness
+    named = [(name, [(index[w], _mask(bit, value)) for w, value in a.items() if w in index])
+             for name, a in sorted(m.nbhds.items(), key=lambda kv: str(kv[0]), reverse=True)]
 
     def modal(f, t):
         if isinstance(f, Box):
             # one neighbourhood whose values stay inside t at all successors
-            return True, {w: name for name, a in named for w in a
-                          if all(a[v] <= t for v in up[w] if v in a)}
+            found = {}
+            for name, values in named:
+                leaving = _bits(v for v, value in values if value & ~t)
+                found.update((w, name) for w, _ in values if not up[w] & leaving)
+            return True, found
         if isinstance(f, Dia):
             # fails wherever some successor has a neighbourhood missing t
-            return False, {w: name for name, a in named
-                           for w, value in a.items() if not (value & t)}
+            return False, {v: name for name, values in named
+                           for v, value in values if not value & t}
         raise TypeError(f"not a modal-dialect formula: {f!r}")
 
-    return up, m.val, modal
+    return pts, up, _valuation(bit, m.val), modal
 
 
 def clauses_cnm(m: CNModel):
     """Constructive clauses; nabla is evaluated by the box clause."""
+    pts, bit = _numbered(m.worlds)
+    members = _members(bit, pts, m.gamma)
 
     def modal(f, t):
         if isinstance(f, (Box, Nabla)):
-            return False, {w: None for w in m.worlds
-                           if not any(a <= t for a in m.gamma.get(w, frozenset()))}
+            inside = {w for w, a in members if not a & ~t}
+            return False, {w: None for w in range(len(pts)) if w not in inside}
         if isinstance(f, Dia):
-            return False, {w: None for w in m.worlds
-                           if any(not (a & t) for a in m.gamma.get(w, frozenset()))}
+            return False, {w: None for w, a in members if not a & t}
         raise TypeError(f"not a box/diamond/nabla formula: {f!r}")
 
-    return _ups(m.worlds, m.preceq), m.val, modal
+    return pts, _ups(pts, bit, m.preceq), _valuation(bit, m.val), modal
 
 
 def clauses_ik2(m: IK2Model):
-    rels = {j: _by_label(rel, lambda pair: pair[1])
+    pts, bit = _numbered(m.worlds)
+    index = {p: i for i, p in enumerate(pts)}
+    # (from, to) index pairs in reverse order of their targets, so that the
+    # least target is the witness
+    rels = {j: sorted(((index[a], index[b]) for a, b in rel if a in index and b in index),
+                      key=lambda pair: pair[1], reverse=True)
             for j, rel in (("N", m.relN), ("E", m.relE))}
 
     def modal(f, t):
         if isinstance(f, BiBox):
             # fails wherever some successor has an R_j-successor outside t
-            return False, {y: z for y, z in rels[f.index] if z not in t}
+            return False, {y: pts[z] for y, z in rels[f.index] if not t >> z & 1}
         if isinstance(f, BiDia):
-            return True, {w: y for w, y in rels[f.index] if y in t}
+            return True, {w: pts[y] for w, y in rels[f.index] if t >> y & 1}
         raise TypeError(f"not a bimodal formula: {f!r}")
 
-    return _ups(m.worlds, m.leq), m.val, modal
+    return pts, _ups(pts, bit, m.leq), _valuation(bit, m.val), modal
 
 
 def bullet(s: IFOMStructure) -> INModel:
@@ -320,15 +371,22 @@ def clauses_ifom(s: IFOMStructure):
 def _evaluators(clauses):
     def truth_set(m, phi: Formula, memo: dict = None) -> frozenset:
         """The worlds of ``m`` where ``phi`` holds; a ``memo`` may be shared
-        by calls on the same model."""
-        up, val, modal = clauses(m)
-        return _truth_set(up, val, modal, phi, {} if memo is None else memo)
+        by calls on the same model, and then also keeps the model's clauses."""
+        if memo is None:
+            memo = {}
+        kept = memo.get(clauses)
+        if kept is None:
+            kept = memo[clauses] = clauses(m)
+        points, up, val, modal = kept
+        t = _truth_set(up, val, modal, phi, memo)
+        return frozenset(p for i, p in enumerate(points) if t >> i & 1)
 
     def holds(m, w, phi: Formula) -> bool:
         """Whether ``phi`` holds at world ``w`` of ``m``."""
         if w not in m.worlds:
             raise ModelError(f"unknown world {w!r}")
-        return w in truth_set(m, phi)
+        points, up, val, modal = clauses(m)
+        return bool(_truth_set(up, val, modal, phi, {}) >> points.index(w) & 1)
     return truth_set, holds
 
 
@@ -569,7 +627,7 @@ class Kind:
     model: type
     dialects: tuple
     holds: Callable      # (model, point, formula) -> bool
-    clauses: Callable    # model -> (up, val, modal), keyed by points
+    clauses: Callable    # model -> (points, up, val, modal), over point indices
     validate: Callable   # model -> list of violations
     checks: Mapping = field(default_factory=dict)  # level beyond basic -> CheckReport
 

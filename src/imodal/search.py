@@ -8,7 +8,7 @@ integer order (every finite poset has such a labelling, so the searched space
 is exhaustive up to isomorphism).  Valuations range over the upsets of the
 order (partial or pre-).  The filters of the bounds read only the frame, so
 they run once per frame.  Formulas are evaluated through the clauses of the
-kind table ``models.KINDS``, one truth set per formula and model.
+kind table ``models.KINDS``, one truth-set mask per formula and model.
 ``find_countermodel`` scans the stream of ``enumerate_models`` in one process
 and returns the first hit; its ``index`` is the model's position in that
 stream.
@@ -238,18 +238,19 @@ def enumerate_models(kind: str, bounds: SearchBounds) -> Iterator:
 # Countermodel search
 # ---------------------------------------------------------------------------
 
-def _violating_world(kind: str, model, consec: Consecution):
-    """Least point (by label) satisfying the context but not the conclusion;
-    the points of an ifom structure are its (world, state) pairs."""
-    up, val, modal = models.KINDS[kind].clauses(model)
+def _violating_world(kind: str, model, context: Sequence[Formula], conclusion: Formula):
+    """Least point (by label) where every formula of ``context`` holds and
+    ``conclusion`` fails: the lowest bit of a mask over the points in label
+    order.  The points of an ifom structure are its (world, state) pairs."""
+    points, up, val, modal = models.KINDS[kind].clauses(model)
     memo: dict = {}
-    good = frozenset(up)
-    for g in sorted(consec.context, key=str):
-        good = good & _truth_set(up, val, modal, g, memo)
+    good = (1 << len(points)) - 1
+    for g in context:
+        good &= _truth_set(up, val, modal, g, memo)
         if not good:
             return None
-    bad = good - _truth_set(up, val, modal, consec.conclusion, memo)
-    return min(bad, key=str) if bad else None
+    bad = good & ~_truth_set(up, val, modal, conclusion, memo)
+    return points[(bad & -bad).bit_length() - 1] if bad else None
 
 
 def _check_dialect(kind: str, consec: Consecution) -> None:
@@ -274,12 +275,13 @@ def find_countermodel(consec: Consecution, kind: str, bounds: SearchBounds,
     _check_dialect(kind, consec)
     start = time.monotonic()
     deadline = None if timeout_ms is None else start + timeout_ms / 1000.0
+    context = sorted(consec.context, key=str)
     examined = 0
     for m in enumerate_models(kind, bounds):
         examined += 1
         if deadline is not None and examined % 256 == 0 and time.monotonic() > deadline:
             return NoneWithinBounds(examined, time.monotonic() - start, True)
-        point = _violating_world(kind, m, consec)
+        point = _violating_world(kind, m, context, consec.conclusion)
         if point is not None:
             return CounterexampleFound(m, point, examined - 1)
     return NoneWithinBounds(examined, time.monotonic() - start)

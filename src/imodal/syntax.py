@@ -8,74 +8,123 @@ Dialects:
 
 Negation and verum are abbreviations: ``~x`` parses to ``x -> F`` and ``T``
 parses to ``F -> F``.  The printer re-sugars both.
+
+Formula nodes are hash-consed: there is at most one live node per distinct
+formula, kept in a weak table, so equal formulas are the same object, a
+formula shared by many formulas is stored once, and equality is identity.  A
+node computes its hash (that of its field tuple, as a frozen dataclass would)
+and its set of dialects once, when it is built; copies and unpickled nodes
+are the canonical node.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 DIALECTS = ("modal", "nabla", "bimodal")
 
 BI_INDICES = ("N", "E")
 
-
-@dataclass(frozen=True)
-class Atom:
-    index: int
+# (class, *fields) -> the one live node with those fields
+_NODES = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class Falsum:
-    pass
+class Formula:
+    """Base of the formula classes.  Nodes are hash-consed: constructing a
+    node whose class and fields equal those of a live node returns that node,
+    so equal formulas are one object and equality is identity.  Each node
+    keeps its hash, that of its field tuple, and ``dialects``, the dialects
+    it belongs to; both are computed once, at construction."""
+
+    __slots__ = ("_hash", "dialects", "__weakref__")
+    _fields: tuple = ()
+    _children: tuple = ()  # the fields that hold subformulas
+    _dialects: frozenset = frozenset(DIALECTS)  # those the node's own operator is in
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        node = _NODES.get(key)
+        if node is None:
+            if len(args) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+            node = object.__new__(cls)
+            dialects = cls._dialects
+            for name, value in zip(cls._fields, args):
+                object.__setattr__(node, name, value)
+                if name in cls._children:
+                    if not isinstance(value, Formula):
+                        raise TypeError(f"not a formula: {value!r}")
+                    dialects = dialects & value.dialects
+            object.__setattr__(node, "dialects", dialects)
+            object.__setattr__(node, "_hash", hash(args))
+            _NODES[key] = node
+        return node
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class Atom(Formula):
+    __slots__ = _fields = ("index",)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Falsum(Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class And(Formula):
+    __slots__ = _fields = _children = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Box:
-    sub: "Formula"
+class Or(Formula):
+    __slots__ = _fields = _children = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Dia:
-    sub: "Formula"
+class Implies(Formula):
+    __slots__ = _fields = _children = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Nabla:
-    sub: "Formula"
+class Box(Formula):
+    __slots__ = _fields = _children = ("sub",)
+    _dialects = frozenset({"modal"})
 
 
-@dataclass(frozen=True)
-class BiBox:
-    index: str  # "N" or "E"
-    sub: "Formula"
+class Dia(Formula):
+    __slots__ = _fields = _children = ("sub",)
+    _dialects = frozenset({"modal"})
 
 
-@dataclass(frozen=True)
-class BiDia:
-    index: str
-    sub: "Formula"
+class Nabla(Formula):
+    __slots__ = _fields = _children = ("sub",)
+    _dialects = frozenset({"nabla"})
 
 
-Formula = Union[Atom, Falsum, And, Or, Implies, Box, Dia, Nabla, BiBox, BiDia]
+class BiBox(Formula):
+    __slots__ = _fields = ("index", "sub")  # index: "N" or "E"
+    _children = ("sub",)
+    _dialects = frozenset({"bimodal"})
+
+
+class BiDia(Formula):
+    __slots__ = _fields = ("index", "sub")
+    _children = ("sub",)
+    _dialects = frozenset({"bimodal"})
+
 
 FALSUM = Falsum()
 TRUE = Implies(FALSUM, FALSUM)
@@ -420,17 +469,9 @@ def modal_depth(phi: Formula) -> int:
 
 
 def in_dialect(phi: Formula, dialect: str) -> bool:
-    if isinstance(phi, (Atom, Falsum)):
-        return True
-    if isinstance(phi, (And, Or, Implies)):
-        return in_dialect(phi.left, dialect) and in_dialect(phi.right, dialect)
-    if isinstance(phi, (Box, Dia)):
-        return dialect == "modal" and in_dialect(phi.sub, dialect)
-    if isinstance(phi, Nabla):
-        return dialect == "nabla" and in_dialect(phi.sub, dialect)
-    if isinstance(phi, (BiBox, BiDia)):
-        return dialect == "bimodal" and in_dialect(phi.sub, dialect)
-    raise TypeError(f"not a formula: {phi!r}")
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
+    return dialect in phi.dialects
 
 
 def embed_box(phi: Formula) -> Formula:

@@ -1,12 +1,16 @@
 import pytest
 
-from imodal.models import (CNModel, INModel, NbhdModel, check_full,
-                           check_ik2_frame, check_inm, eval_classical,
-                           eval_cnm, eval_ik2, eval_inm, find_isomorphism,
-                           is_isomorphism, truth_set_inm, validate_ik2,
-                           validate_inm)
-from imodal.search import SearchBounds, enumerate_models, random_formula, random_inm
-from imodal.syntax import Atom, Box, Dia, Or, parse, substitute
+from imodal.models import (KINDS, CNModel, IK2Model, INModel, NbhdModel,
+                           check_full, check_ik2_frame, check_inm,
+                           eval_classical, eval_cnm, eval_ik2, eval_inm,
+                           find_isomorphism, is_isomorphism,
+                           truth_set_classical, truth_set_cnm, truth_set_ik2,
+                           truth_set_inm, validate_ik2, validate_inm)
+from imodal.orders import successors
+from imodal.search import (SearchBounds, _random_upset, enumerate_models,
+                           random_cnm, random_formula, random_inm, random_poset)
+from imodal.syntax import (And, Atom, BiBox, BiDia, Box, Dia, Falsum, Implies,
+                           Nabla, Or, parse, substitute, translate_bimodal)
 
 B = lambda s: parse(s, "bimodal")
 N = lambda s: parse(s, "nabla")
@@ -66,29 +70,118 @@ class TestINM:
             assert truth_set_inm(m, Dia(phi)) <= truth_set_inm(m, Dia(psi))
 
 
-def _naive_inm(m, w, phi):
-    """Literal world-at-a-time transcription of the displayed clauses; an
-    independent oracle for the truth-set evaluator."""
-    from imodal.orders import successors
-    from imodal.syntax import And as A, Falsum as F, Implies as I, Or as O
-    up = successors(m.worlds, m.leq, w)
+def _naive(m, w, phi, order, modal):
+    """Literal world-at-a-time transcription of the clauses every kind shares:
+    atoms, the connectives and implication along ``order``; ``modal(w, phi)``
+    decides the kind's modal nodes.  With the per-kind clauses below, an
+    independent oracle for the truth-set evaluators."""
     if isinstance(phi, Atom):
         return w in m.val.get(phi.index, frozenset())
-    if isinstance(phi, F):
+    if isinstance(phi, Falsum):
         return False
-    if isinstance(phi, A):
-        return _naive_inm(m, w, phi.left) and _naive_inm(m, w, phi.right)
-    if isinstance(phi, O):
-        return _naive_inm(m, w, phi.left) or _naive_inm(m, w, phi.right)
-    if isinstance(phi, I):
-        return all((not _naive_inm(m, v, phi.left)) or _naive_inm(m, v, phi.right)
-                   for v in up)
-    if isinstance(phi, Box):
-        return any(w in a and all(_naive_inm(m, x, phi.sub)
-                                  for v in up if v in a for x in a[v])
-                   for a in m.nbhds.values())
-    return all(any(_naive_inm(m, x, phi.sub) for x in a[v])
-               for v in up for a in m.nbhds.values() if v in a)
+    if isinstance(phi, And):
+        return _naive(m, w, phi.left, order, modal) and _naive(m, w, phi.right, order, modal)
+    if isinstance(phi, Or):
+        return _naive(m, w, phi.left, order, modal) or _naive(m, w, phi.right, order, modal)
+    if isinstance(phi, Implies):
+        return all((not _naive(m, v, phi.left, order, modal))
+                   or _naive(m, v, phi.right, order, modal)
+                   for v in successors(m.worlds, order, w))
+    return modal(w, phi)
+
+
+def _naive_inm(m, w, phi):
+    def modal(w, phi):
+        up = successors(m.worlds, m.leq, w)
+        if isinstance(phi, Box):
+            return any(w in a and all(_naive_inm(m, x, phi.sub)
+                                      for v in up if v in a for x in a[v])
+                       for a in m.nbhds.values())
+        return all(any(_naive_inm(m, x, phi.sub) for x in a[v])
+                   for v in up for a in m.nbhds.values() if v in a)
+    return _naive(m, w, phi, m.leq, modal)
+
+
+def _naive_cnm(m, w, phi):
+    def modal(w, phi):
+        up = successors(m.worlds, m.preceq, w)
+        if isinstance(phi, (Box, Nabla)):
+            # at every successor some member of gamma lies inside the truth set
+            return all(any(all(_naive_cnm(m, x, phi.sub) for x in a)
+                           for a in m.gamma.get(v, ()))
+                       for v in up)
+        # at every successor every member of gamma meets the truth set
+        return all(any(_naive_cnm(m, x, phi.sub) for x in a)
+                   for v in up for a in m.gamma.get(v, ()))
+    return _naive(m, w, phi, m.preceq, modal)
+
+
+def _naive_ik2(m, w, phi):
+    def modal(w, phi):
+        rel = m.relN if phi.index == "N" else m.relE
+        if isinstance(phi, BiBox):
+            return all(_naive_ik2(m, u, phi.sub)
+                       for v in successors(m.worlds, m.leq, w)
+                       for u in m.worlds if (v, u) in rel)
+        return any(_naive_ik2(m, u, phi.sub) for u in m.worlds if (w, u) in rel)
+    return _naive(m, w, phi, m.leq, modal)
+
+
+def _naive_classical(m, w, phi):
+    def modal(w, phi):
+        family = m.nf.get(w, ())
+        if isinstance(phi, Box):
+            return any(all(_naive_classical(m, x, phi.sub) for x in a) for a in family)
+        return all(any(_naive_classical(m, x, phi.sub) for x in a) for a in family)
+    return _naive(m, w, phi, frozenset((v, v) for v in m.worlds), modal)
+
+
+def _subset(rng, worlds, p=0.5):
+    return frozenset(w for w in worlds if rng.random() < p)
+
+
+def _random_classical(rng, bounds):
+    worlds = frozenset(range(rng.randint(1, bounds.max_worlds)))
+    nf = {w: frozenset(_subset(rng, worlds) for _ in range(rng.randint(0, bounds.max_nbhds)))
+          for w in worlds}
+    return NbhdModel(worlds, nf, {i: _subset(rng, worlds) for i in range(bounds.max_atoms)})
+
+
+def _random_ik2(rng, bounds):
+    """A poset with arbitrary relations: the clauses do not need the frame
+    conditions, and the oracle does not assume them."""
+    n = rng.randint(1, bounds.max_worlds)
+    worlds = frozenset(range(n))
+    leq = random_poset(rng, n)
+    pairs = [(a, b) for a in worlds for b in worlds]
+    return IK2Model(worlds, leq, _subset(rng, pairs, 0.3), _subset(rng, pairs, 0.3),
+                    {i: _random_upset(rng, worlds, leq) for i in range(bounds.max_atoms)})
+
+
+ORACLES = {  # kind -> (random model, truth set, oracle)
+    "inm": (random_inm, truth_set_inm, _naive_inm),
+    "cnm": (random_cnm, truth_set_cnm, _naive_cnm),
+    "ik2": (_random_ik2, truth_set_ik2, _naive_ik2),
+    "classical": (_random_classical, truth_set_classical, _naive_classical),
+}
+
+
+def _random_bimodal(rng, depth, atoms):
+    """A random bimodal formula: the translation of a modal one, with each
+    index swapped at random."""
+    def swap(f):
+        if isinstance(f, (BiBox, BiDia)):
+            return type(f)(rng.choice("NE"), swap(f.sub))
+        if isinstance(f, (And, Or, Implies)):
+            return type(f)(swap(f.left), swap(f.right))
+        return f
+    return swap(translate_bimodal(random_formula(rng, depth, atoms)))
+
+
+def _random_of(rng, dialect, depth, atoms):
+    if dialect == "bimodal":
+        return _random_bimodal(rng, depth, atoms)
+    return random_formula(rng, depth, atoms, dialect)
 
 
 class TestNaiveOracle:
@@ -99,6 +192,34 @@ class TestNaiveOracle:
                 phi = random_formula(rng, 3, 2)
                 for w in m.worlds:
                     assert _naive_inm(m, w, phi) == eval_inm(m, w, phi)
+
+    @pytest.mark.parametrize("kind", ORACLES)
+    def test_every_kind_agrees_with_its_oracle(self, rng, kind):
+        model, truth_set, naive = ORACLES[kind]
+        for _ in range(80):
+            m = model(rng, SearchBounds(4, 3, 2))
+            memo = {}
+            for _ in range(5):
+                phi = _random_of(rng, rng.choice(KINDS[kind].dialects), 3, 2)
+                t = truth_set(m, phi, memo)
+                assert t == frozenset(w for w in m.worlds if naive(m, w, phi))
+
+    @pytest.mark.parametrize("kind", ORACLES)
+    def test_shared_memo_equals_fresh_memos(self, rng, kind):
+        # 72 instances that hold at some worlds and fail at others
+        from imodal.calculi import I_DIA, NEG_A
+        model, truth_set, _ = ORACLES[kind]
+        schemas = [parse("[]p0 -> p0"), parse("~~p0 -> <>p0"), NEG_A, I_DIA]
+        subs = [random_formula(rng, 2, 2) for _ in range(18)]
+        instances = [substitute(s, {0: x}) for s in schemas for x in subs]
+        if kind == "ik2":
+            instances = [translate_bimodal(f) for f in instances]
+        assert len(instances) == 72
+        for _ in range(30):
+            m = model(rng, SearchBounds(4, 3, 2))
+            memo = {}
+            shared = [truth_set(m, f, memo) for f in instances]
+            assert shared == [truth_set(m, f) for f in instances]
 
 
 class TestCNM:

@@ -1,9 +1,13 @@
+import copy
+import gc
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imodal import syntax
 from imodal.syntax import (And, Atom, BI_INDICES, BiBox, BiDia, Box, DIALECTS,
                            Dia, FALSUM, FormulaSyntaxError, Implies, MAX_DEPTH,
                            Nabla, Or, TRUE, embed_box, embed_dia, in_dialect,
@@ -110,7 +114,67 @@ def formulas(dialect: str):
 @given(data=st.data())
 def test_show_parse_round_trip(dialect, data):
     phi = data.draw(formulas(dialect))
-    assert parse(show(phi), dialect) == phi
+    assert parse(show(phi), dialect) is phi
+
+
+# one node of every class, with its fields in declaration order
+NODES = [(P0, (0,)), (FALSUM, ()), (And(P0, P1), (P0, P1)), (Or(P1, P0), (P1, P0)),
+         (Implies(P0, FALSUM), (P0, FALSUM)), (Box(P0), (P0,)), (Dia(P1), (P1,)),
+         (Nabla(P2), (P2,)), (BiBox("N", P0), ("N", P0)), (BiDia("E", P1), ("E", P1))]
+
+
+class TestHashConsing:
+    def test_one_node_per_formula(self):
+        assert Atom(0) is Atom(0)
+        assert parse("[]p0 & ~p1") is And(Box(Atom(0)), Implies(Atom(1), FALSUM))
+        assert parse("T") is TRUE
+
+    @pytest.mark.parametrize("phi, fields", NODES, ids=lambda x: type(x).__name__)
+    def test_hash_is_that_of_the_fields(self, phi, fields):
+        # the hash a frozen dataclass has, so that set orders stay put
+        assert hash(phi) == hash(fields)
+
+    def test_repr_names_the_fields(self):
+        # sorting by str orders contexts and witnesses
+        assert repr(parse("[]p0 -> F")) == \
+            "Implies(left=Box(sub=Atom(index=0)), right=Falsum())"
+        assert repr(BiDia("E", P1)) == "BiDia(index='E', sub=Atom(index=1))"
+
+    @pytest.mark.parametrize("phi, fields", NODES, ids=lambda x: type(x).__name__)
+    def test_copies_are_the_node(self, phi, fields):
+        assert copy.copy(phi) is phi
+        assert copy.deepcopy(phi) is phi
+        assert pickle.loads(pickle.dumps(phi)) is phi
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            P0.index = 1
+        with pytest.raises(AttributeError):
+            del P0.index
+
+    def test_dead_nodes_leave_the_table(self):
+        gc.collect()
+        before = len(syntax._NODES)
+        phi = Box(Dia(Atom(987654321)))
+        assert len(syntax._NODES) == before + 3
+        del phi
+        gc.collect()
+        assert len(syntax._NODES) == before
+
+    def test_dialect_sets(self):
+        assert P0.dialects == FALSUM.dialects == frozenset(DIALECTS)
+        assert parse("[]p0 & ~p1").dialects == {"modal"}
+        assert parse("nabla p0", "nabla").dialects == {"nabla"}
+        assert And(Box(P0), Nabla(P0)).dialects == frozenset()
+        assert not any(in_dialect(And(Box(P0), BiBox("N", P0)), d) for d in DIALECTS)
+
+    def test_non_formulas_rejected(self):
+        with pytest.raises(TypeError):
+            in_dialect("p0", "modal")
+        with pytest.raises(TypeError):
+            And(P0, "p1")
+        with pytest.raises(TypeError):
+            Box()
 
 
 class TestSubstitute:
