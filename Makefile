@@ -5,9 +5,9 @@ test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 
 fast:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q -m "not slow"
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q
 
-# the fast tests, every evaluator against the independent reference semantics,
+# the tests, every evaluator against the independent reference semantics,
 # then the shipped examples (exits 1 on any failed check)
 check: fast
 	python3 bench/reference.py

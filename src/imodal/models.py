@@ -22,21 +22,27 @@ names, worlds) are the least by label; the unnamed neighbourhoods of
 classical and constructive models map to ``None``.  The points of a model
 are its worlds, except that the points of a first-order structure are its
 (world, state) pairs: its clauses are those of its neighbourhood-model image
-``bullet``, whose worlds are exactly those pairs.  Search and ``eval
---trace`` read these clauses for every kind.  Truth sets are computed
+``bullet``, whose worlds are exactly those pairs.  ``eval --trace`` reads
+these clauses for every kind, and search re-checks its hits with them; the
+search itself evaluates many models at once through each kind's batch
+clause ``batch_<kind>`` and ``_batch_truth_set``, the same core over one
+int per point with one bit per model.  Truth sets are computed
 bottom-up with a memo keyed on the (hash-consed) subformulas, so repeated
 subformulas cost nothing; ``truth_set_<kind>`` turns the mask into a
 frozenset of points, and a memo that a caller shares across calls on one
 model also keeps that model's clauses, so they are built once.  Models are
 immutable after construction; validation never repairs, it reports
 witnesses.  ``KINDS`` at the end of the module holds, per kind, the model
-class, dialects, evaluator, clauses, validator and check levels.
+class, dialects, evaluator, clauses, batch clause, validator and check
+levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import repeat
+from operator import or_
 from typing import Callable, Mapping
 
 from .folm import IFOMStructure, eval_modal_ifom, validate_ifom
@@ -397,6 +403,153 @@ truth_set_ik2, eval_ik2 = _evaluators(clauses_ik2)
 
 
 # ---------------------------------------------------------------------------
+# Batch evaluation (bit-sliced)
+# ---------------------------------------------------------------------------
+#
+# A batch is many models of one kind on the same points and order, one bit
+# per model: a truth value is a list of one int per point, whose bit b says
+# whether the formula holds there in model b, and ``full`` has every model's
+# bit.  What varies between the models is given as predicates: an int per
+# fact of a frame, with the bit of each model where the fact holds, keyed by
+# the fact.  ``batch_<kind>(preds, up, full)`` is the kind's modal clause
+# over the points whose up-sets (lists of point indices) ``up`` gives, in
+# the shape of ``clauses_<kind>``'s: ``modal(f, t)`` returns ``(exists,
+# found)``, with ``found`` one int per point.  The single-model clauses above
+# stay the reference that search re-checks its hits with.
+
+def _avoiding_batch(up, full: int, bad) -> list:
+    """``_avoiding`` over a batch: per point, the models where no point of its
+    up-set (a list of point indices, the point itself among them) is bad."""
+    return [full ^ reduce(or_, map(bad.__getitem__, ups)) for ups in up]
+
+
+def _batch_truth_set(up, atoms, full, modal, phi: Formula, memo: dict) -> list:
+    """``_truth_set`` over a batch: ``up`` lists the up-set of each point,
+    ``atoms`` maps an atom index to its truth value, and implication and the
+    universal clauses hold on the models where no successor is in the way."""
+    result = memo.get(phi)
+    if result is not None:
+        return result
+    kind = type(phi)
+    if kind is Atom:
+        result = atoms.get(phi.index) or [0] * len(up)
+    elif kind is Falsum:
+        result = [0] * len(up)
+    elif kind is And or kind is Or or kind is Implies:
+        x = _batch_truth_set(up, atoms, full, modal, phi.left, memo)
+        y = _batch_truth_set(up, atoms, full, modal, phi.right, memo)
+        if kind is And:
+            result = [a & b for a, b in zip(x, y)]
+        elif kind is Or:
+            result = [a | b for a, b in zip(x, y)]
+        else:
+            result = _avoiding_batch(up, full, [a & (full ^ b) for a, b in zip(x, y)])
+    else:
+        exists, found = modal(phi, _batch_truth_set(up, atoms, full, modal, phi.sub, memo))
+        result = found if exists else _avoiding_batch(up, full, found)
+    memo[phi] = result
+    return result
+
+
+def _inside(preds, t, n: int) -> list:
+    """Per point ``w``, the models where some set ``s`` of its family (the
+    keys ``(w, s)`` of ``preds``) lies inside ``t``; with the complement of
+    ``t``, where some set misses ``t``."""
+    out = [0] * n
+    for (w, s), m in preds.items():
+        for u in s:
+            m &= t[u]
+        out[w] |= m
+    return out
+
+
+def batch_classical(preds, up, full: int):
+    """Keys ``(w, s)``: the set ``s`` is a neighbourhood of ``w``."""
+    n = len(up)
+
+    def modal(f, t):
+        if isinstance(f, Box):
+            return True, _inside(preds, t, n)
+        if isinstance(f, Dia):
+            return False, _inside(preds, [full ^ x for x in t], n)
+        raise TypeError(f"not a modal-dialect formula: {f!r}")
+    return modal
+
+
+def batch_cnm(preds, up, full: int):
+    """Keys ``(w, s)``: the set ``s`` is in gamma at ``w``."""
+    n = len(up)
+
+    def modal(f, t):
+        if isinstance(f, (Box, Nabla)):
+            return False, [full ^ x for x in _inside(preds, t, n)]
+        if isinstance(f, Dia):
+            return False, _inside(preds, [full ^ x for x in t], n)
+        raise TypeError(f"not a box/diamond/nabla formula: {f!r}")
+    return modal
+
+
+def batch_inm(preds, up, full: int):
+    """Keys ``(a, w)``: ``w`` is in the domain of neighbourhood ``a``;
+    ``(a, w, u)``: ``u`` is in the value of ``a`` at ``w``."""
+    n = len(up)
+    slots: dict = {}
+    for key, m in preds.items():
+        dom, values = slots.setdefault(key[0], ([0] * n, []))
+        if len(key) == 2:
+            dom[key[1]] = m
+        else:
+            values.append((key[1], key[2], m))
+
+    def modal(f, t):
+        found = [0] * n
+        if isinstance(f, Box):
+            # one neighbourhood whose values stay inside t at all successors
+            out = [full ^ x for x in t]
+            for dom, values in slots.values():
+                miss = [0] * n
+                for v, u, m in values:
+                    miss[v] |= m & out[u]
+                for w, kept in enumerate(_avoiding_batch(up, full, miss)):
+                    found[w] |= dom[w] & kept
+            return True, found
+        if isinstance(f, Dia):
+            # fails wherever some successor has a neighbourhood missing t
+            for dom, values in slots.values():
+                meets = [0] * n
+                for v, u, m in values:
+                    meets[v] |= m & t[u]
+                for v in range(n):
+                    found[v] |= dom[v] & (full ^ meets[v])
+            return False, found
+        raise TypeError(f"not a modal-dialect formula: {f!r}")
+    return modal
+
+
+def batch_ik2(preds, up, full: int):
+    """Keys ``(j, y, z)``: ``(y, z)`` is in the relation ``R_j``."""
+    rels: dict = {"N": [], "E": []}
+    for (j, y, z), m in preds.items():
+        rels[j].append((y, z, m))
+    n = len(up)
+
+    def modal(f, t):
+        found = [0] * n
+        if isinstance(f, BiBox):
+            # fails wherever some successor has an R_j-successor outside t
+            out = [full ^ x for x in t]
+            for y, z, m in rels[f.index]:
+                found[y] |= m & out[z]
+            return False, found
+        if isinstance(f, BiDia):
+            for w, y, m in rels[f.index]:
+                found[w] |= m & t[y]
+            return True, found
+        raise TypeError(f"not a bimodal formula: {f!r}")
+    return modal
+
+
+# ---------------------------------------------------------------------------
 # Relational structure of an INModel
 # ---------------------------------------------------------------------------
 
@@ -628,6 +781,7 @@ class Kind:
     dialects: tuple
     holds: Callable      # (model, point, formula) -> bool
     clauses: Callable    # model -> (points, up, val, modal), over point indices
+    batch: Callable      # (preds, up, full) -> modal, over a batch of models
     validate: Callable   # model -> list of violations
     checks: Mapping = field(default_factory=dict)  # level beyond basic -> CheckReport
 
@@ -637,18 +791,18 @@ def _check_full_report(m: CNModel) -> CheckReport:
 
 
 KINDS = {
-    "inm": Kind(INModel, ("modal",), eval_inm, clauses_inm, validate_inm,
+    "inm": Kind(INModel, ("modal",), eval_inm, clauses_inm, batch_inm, validate_inm,
                 {"coherent": lambda m: check_inm(m, "coherent"),
                  "cartesian": lambda m: check_inm(m, "cartesian")}),
-    "cnm": Kind(CNModel, ("modal", "nabla"), eval_cnm, clauses_cnm, validate_cnm,
+    "cnm": Kind(CNModel, ("modal", "nabla"), eval_cnm, clauses_cnm, batch_cnm, validate_cnm,
                 {"full": _check_full_report}),
-    "ik2": Kind(IK2Model, ("bimodal",), eval_ik2, clauses_ik2, validate_ik2,
+    "ik2": Kind(IK2Model, ("bimodal",), eval_ik2, clauses_ik2, batch_ik2, validate_ik2,
                 {"frame": check_ik2_frame}),
     # points are (world, state) pairs; holds is the direct evaluator, which
     # does not go through bullet
     "ifom": Kind(IFOMStructure, ("modal",),
                  lambda s, point, phi: eval_modal_ifom(s, point[0], point[1], phi),
-                 clauses_ifom, validate_ifom),
+                 clauses_ifom, batch_inm, validate_ifom),
     "classical": Kind(NbhdModel, ("modal",), eval_classical, clauses_classical,
-                      validate_nbhd),
+                      batch_classical, validate_nbhd),
 }

@@ -7,23 +7,35 @@ count, then order, then frame, then valuation.  Worlds are labelled
 integer order (every finite poset has such a labelling, so the searched space
 is exhaustive up to isomorphism).  Valuations range over the upsets of the
 order (partial or pre-).  The filters of the bounds read only the frame, so
-they run once per frame.  Formulas are evaluated through the clauses of the
-kind table ``models.KINDS``, one truth-set mask per formula and model.
-``find_countermodel`` scans the stream of ``enumerate_models`` in one process
-and returns the first hit; its ``index`` is the model's position in that
-stream.
+they run once per frame.
 
-The bit-sliced sweep (``sweep_inm_validity``) checks a batch of formulas for
-validity over every intuitionistic neighbourhood model within bounds, at any
-neighbourhood bound.  On each order it evaluates all of the stream's frames
-at once: a truth value is one Python int per world, with one bit per frame.
-For each formula it returns the stream's first hit, the same as
-``find_countermodel``, re-checks it with ``eval_inm``, and is cross-checked
-against that reference in the test suite.
+``find_countermodel`` evaluates the stream in bit-sliced batches, in one
+process.  A batch is a run of the frames of one order times all of the
+order's valuations, one bit per model: with ``F`` frames, model ``(f, v)``
+is bit ``v * F + f``.  A truth value is one Python int per point.  Each frame
+names the facts it has (a neighbourhood's value at a world, a relation
+pair, ...) as keys; a key's frames make one int, which a multiplication by
+the repunit of ``F``-bit blocks widens to the batch, and the kind's batch
+clause in ``models.KINDS`` reads them.  The lowest failing frame, found by
+folding the valuation blocks with OR, then its first failing valuation, is
+the stream's first hit, so its ``index`` is the model's position in the
+stream.  A batch holds at most ``_BATCH_MODELS`` models (or one frame's
+valuations, if more), and the deadline is looked at between batches.  The
+hit model is rebuilt by walking the order's frames again, and re-checked
+with the kind's single-model evaluator.  An ifom structure has no
+valuation: its points are a grid of (world, state) pairs with a key for
+each pair it lacks, and its atoms are keys too.
+
+The validity sweep (``sweep_inm_validity``) is the kernel's many-formula
+case: on each order it evaluates all of the stream's inm frames at once,
+once per valuation.  For each formula it returns the stream's first hit,
+the same as ``find_countermodel``, re-checks it with ``eval_inm``, and is
+cross-checked against a one-model-at-a-time scan in the test suite.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -34,11 +46,11 @@ from typing import Iterator, Optional, Sequence
 
 from . import models
 from .folm import FOMStructure, IFOMStructure
-from .models import (CNModel, IK2Model, INModel, NbhdModel, _truth_set,
+from .models import (CNModel, IK2Model, INModel, NbhdModel, _batch_truth_set,
                      check_ik2_frame, check_full, check_inm, eval_inm)
 from .orders import is_transitive, is_upward_closed, reflexive_transitive_closure
-from .syntax import (And, Atom, Box, Consecution, Dia, FALSUM, Falsum, Formula,
-                     Implies, Nabla, Or, in_dialect)
+from .syntax import (And, Atom, Box, Consecution, Dia, FALSUM, Formula, Implies,
+                     Nabla, Or, in_dialect)
 
 KINDS = tuple(models.KINDS)
 
@@ -107,7 +119,10 @@ def _subsets(items: Sequence) -> list:
 
 # Each frame generator takes the bounds, the world count, the order and the
 # sets that atoms range over, and yields the frames on that order in stream
-# order, each as a function from a valuation to a model.
+# order.  A frame is a pair: a function from a valuation to a model, and the
+# keys of the facts of the frame that the kind's batch clause reads (see
+# ``models.batch_<kind>``), over the indices of the points, in groups that
+# the generator builds once and shares between frames.
 
 def _inm_candidates(n: int, upsets) -> list:
     """Every neighbourhood: an upset domain with a value at each of its worlds."""
@@ -118,28 +133,44 @@ def _inm_candidates(n: int, upsets) -> list:
 def _inm_frames(bounds: SearchBounds, n: int, leq, upsets) -> Iterator:
     worlds = frozenset(range(n))
     cands = _inm_candidates(n, upsets)
+    # the keys of each candidate as the neighbourhood of each slot: lists of
+    # shared keys, since a table of tuples, once freed, stays on the
+    # interpreter's free lists for tuples of its sizes
+    facts = {key: key for s in range(bounds.max_nbhds) for v in range(n)
+             for key in [(s, v)] + [(s, v, u) for u in range(n)]}
+    keys = [[[facts[s, w] for w in dom]
+             + [facts[s, w, u] for w, value in zip(dom, values) for u in value]
+             for dom, values in cands] for s in range(bounds.max_nbhds)]
     for k in range(bounds.max_nbhds + 1):
-        for combo in itertools.combinations(cands, k):
-            yield functools.partial(INModel, worlds, leq,
-                                    {f"a{i}": dict(zip(*c)) for i, c in enumerate(combo)})
+        for combo in itertools.combinations(range(len(cands)), k):
+            yield (functools.partial(INModel, worlds, leq, {f"a{i}": dict(zip(*cands[c]))
+                                                             for i, c in enumerate(combo)}),
+                   [keys[s][c] for s, c in enumerate(combo)])
+
+
+def _family_frames(make, choices: list, n: int) -> Iterator:
+    """The frames that give each world one family of ``choices``, with the
+    keys ``(w, s)`` for each set ``s`` of the family of ``w``."""
+    keys = [[tuple((w, tuple(sorted(a))) for a in fam) for fam in choices] for w in range(n)]
+    for picks in itertools.product(range(len(choices)), repeat=n):
+        yield (functools.partial(make, dict(enumerate(choices[c] for c in picks))),
+               [keys[w][c] for w, c in enumerate(picks)])
 
 
 def _classical_frames(bounds: SearchBounds, n: int, leq, subsets) -> Iterator:
-    worlds = frozenset(range(n))
+    make = functools.partial(NbhdModel, frozenset(range(n)))
     for k in range(bounds.max_nbhds + 1):
         for pool in itertools.combinations(subsets, k):
             choices = [frozenset(sel) for r in range(k + 1)
                        for sel in itertools.combinations(pool, r)]
-            for nf in itertools.product(choices, repeat=n):
-                yield functools.partial(NbhdModel, worlds, dict(enumerate(nf)))
+            yield from _family_frames(make, choices, n)
 
 
 def _cnm_frames(bounds: SearchBounds, n: int, rel, upsets) -> Iterator:
-    worlds = frozenset(range(n))
     per_world = [frozenset(sel) for r in range(bounds.max_nbhds + 1)
                  for sel in itertools.combinations(_subsets(range(n)), r)]
-    for gamma in itertools.product(per_world, repeat=n):
-        yield functools.partial(CNModel, worlds, rel, dict(enumerate(gamma)))
+    yield from _family_frames(functools.partial(CNModel, frozenset(range(n)), rel),
+                              per_world, n)
 
 
 def _ik2_frames(bounds: SearchBounds, n: int, leq, upsets) -> Iterator:
@@ -148,8 +179,10 @@ def _ik2_frames(bounds: SearchBounds, n: int, leq, upsets) -> Iterator:
     # that pass are the products of the relations that pass alone
     rels = [r for r in _subsets([(i, j) for i in range(n) for j in range(n)])
             if check_ik2_frame(IK2Model(worlds, leq, r, frozenset(), {})).ok]
-    for relN, relE in itertools.product(rels, repeat=2):
-        yield functools.partial(IK2Model, worlds, leq, relN, relE)
+    keys = {j: [tuple((j, a, b) for a, b in r) for r in rels] for j in "NE"}
+    for relN, relE in itertools.product(range(len(rels)), repeat=2):
+        yield (functools.partial(IK2Model, worlds, leq, rels[relN], rels[relE]),
+               (keys["N"][relN], keys["E"][relE]))
 
 
 _FRAMES = {"inm": _inm_frames, "classical": _classical_frames,
@@ -184,35 +217,79 @@ def _union_below(interp: dict, leq, w: int, atoms: int) -> FOMStructure:
          for i in range(atoms)})
 
 
-def _ifom_structures(bounds: SearchBounds, n: int, leq) -> Iterator:
+def _image_keys(at: int, states, nbhds, relN, relE) -> tuple:
+    """The ``batch_inm`` keys of the pairs of one world in the ``bullet``
+    image, whose pair with state ``x`` is the point ``at + x``."""
+    keys = []
+    for a in sorted(nbhds):
+        for x in sorted(states):
+            if (x, a) in relN:
+                keys.append((a, at + x))
+                keys.extend((a, at + x, at + y) for y in sorted(states) if (a, y) in relE)
+    return tuple(keys)
+
+
+def _ifom_frames(bounds: SearchBounds, n: int, leq) -> Iterator:
     """The growing structures on the order ``leq``: each world's structure
-    contains the union of those below it."""
+    contains the union of those below it.  A structure has no valuation; its
+    points are those of a grid of (world, state) pairs, the pair ``(w, x)``
+    at index ``w * max_worlds + x``, and its keys are those of its ``bullet``
+    image, ``("absent", p)`` for the grid points that are not its points and
+    ``("atom", i, p)`` for the points where atom ``i`` holds."""
     state_pool = tuple(range(bounds.max_worlds))
     nbhd_pool = tuple(range(bounds.max_nbhds))
     atoms = range(bounds.max_atoms)
+    worlds = frozenset(range(n))
 
-    def go(w: int, interp: dict):
+    def go(w: int, interp: dict, keys: tuple):
         if w == n:
-            yield IFOMStructure(frozenset(range(n)), leq, dict(interp))
+            yield functools.partial(_ifom_model, worlds, leq, dict(interp)), keys
             return
+        at = w * len(state_pool)
         base = _union_below(interp, leq, w, bounds.max_atoms)
         for states in _supersets(base.states, state_pool):
             if not states:
                 continue
+            absent = tuple(("absent", at + x) for x in state_pool if x not in states)
             for nbhds in _supersets(base.nbhds, nbhd_pool):
                 rn_pool = [(x, a) for x in sorted(states) for a in sorted(nbhds)]
                 re_pool = [(a, x) for a in sorted(nbhds) for x in sorted(states)]
                 for relN in _supersets(base.relN, rn_pool):
                     for relE in _supersets(base.relE, re_pool):
+                        image = absent + _image_keys(at, states, nbhds, relN, relE)
                         for pred_sets in itertools.product(
                                 *(_supersets(base.preds[i], sorted(states)) for i in atoms)):
                             interp[w] = FOMStructure(
                                 states, nbhds, relN, relE,
                                 {i: pred_sets[i] for i in atoms})
-                            yield from go(w + 1, interp)
+                            yield from go(w + 1, interp, keys + (image, tuple(
+                                ("atom", i, at + x) for i in atoms for x in sorted(pred_sets[i]))))
                             del interp[w]
 
-    yield from go(0, {})
+    yield from go(0, {}, ())
+
+
+def _ifom_model(worlds, leq, interp, val) -> IFOMStructure:
+    """A growing structure; it has no valuation, so ``val`` is empty."""
+    return IFOMStructure(worlds, leq, interp)
+
+
+# The models of one kind on one order: their points (labels, by index), the
+# up-set of each point (indices), the valuations in stream order (a tuple of
+# sets per atom), and a function that yields the frames.
+_Space = collections.namedtuple("_Space", "points up valuations frames")
+
+
+def _space(kind: str, bounds: SearchBounds, n: int, leq) -> _Space:
+    if kind == "ifom":
+        grid = [(w, x) for w in range(n) for x in range(bounds.max_worlds)]
+        up = [[v * bounds.max_worlds + x for v in range(n) if (w, v) in leq] for w, x in grid]
+        return _Space(grid, up, [()], functools.partial(_ifom_frames, bounds, n, leq))
+    # classical valuations are all subsets, in bitmask order
+    sets = _subsets(range(n)) if kind == "classical" else upsets_of_poset(n, leq)
+    return _Space(list(range(n)), [[v for v in range(n) if (w, v) in leq] for w in range(n)],
+                  list(itertools.product(sets, repeat=bounds.max_atoms)),
+                  functools.partial(_FRAMES[kind], bounds, n, leq, sets))
 
 
 def enumerate_models(kind: str, bounds: SearchBounds) -> Iterator:
@@ -223,14 +300,10 @@ def enumerate_models(kind: str, bounds: SearchBounds) -> Iterator:
     filters = _filters(kind, bounds)
     for n in range(1, bounds.max_worlds + 1):
         for leq in _orders(kind, n):
-            if kind == "ifom":
-                yield from _ifom_structures(bounds, n, leq)
-                continue
-            # classical valuations are all subsets, in bitmask order
-            sets = _subsets(range(n)) if kind == "classical" else upsets_of_poset(n, leq)
-            for frame in _FRAMES[kind](bounds, n, leq, sets):
+            space = _space(kind, bounds, n, leq)
+            for frame, _ in space.frames():
                 if all(check(frame({})) for check in filters):
-                    for vals in itertools.product(sets, repeat=bounds.max_atoms):
+                    for vals in space.valuations:
                         yield frame(dict(enumerate(vals)))
 
 
@@ -238,19 +311,10 @@ def enumerate_models(kind: str, bounds: SearchBounds) -> Iterator:
 # Countermodel search
 # ---------------------------------------------------------------------------
 
-def _violating_world(kind: str, model, context: Sequence[Formula], conclusion: Formula):
-    """Least point (by label) where every formula of ``context`` holds and
-    ``conclusion`` fails: the lowest bit of a mask over the points in label
-    order.  The points of an ifom structure are its (world, state) pairs."""
-    points, up, val, modal = models.KINDS[kind].clauses(model)
-    memo: dict = {}
-    good = (1 << len(points)) - 1
-    for g in context:
-        good &= _truth_set(up, val, modal, g, memo)
-        if not good:
-            return None
-    bad = good & ~_truth_set(up, val, modal, conclusion, memo)
-    return points[(bad & -bad).bit_length() - 1] if bad else None
+# The most models one batch of find_countermodel holds, unless one frame
+# alone has more valuations.  It bounds a batch's memory and the time between
+# two looks at the deadline.
+_BATCH_MODELS = 1 << 10
 
 
 def _check_dialect(kind: str, consec: Consecution) -> None:
@@ -260,14 +324,84 @@ def _check_dialect(kind: str, consec: Consecution) -> None:
             raise ValueError(f"formula dialect does not match model kind {kind!r}")
 
 
+def _valuation_atoms(valuations: list, frames: int, n: int) -> dict:
+    """Each atom's truth value over a batch of ``frames`` frames times the
+    ``valuations``: one block of ``frames`` bits per valuation."""
+    atoms: dict = {}
+    block = (1 << frames) - 1
+    for vals in valuations:
+        for i, ext in enumerate(vals):
+            vec = atoms.setdefault(i, [0] * n)
+            for w in ext:
+                vec[w] |= block
+        block <<= frames
+    return atoms
+
+
+def _scan_batch(kind: str, space: _Space, chunk, filters, atoms_for, context, conclusion):
+    """Evaluate the consecution on every model of a run of frames of one
+    order.  Bit ``v * F + f`` of the batch is frame ``f`` of the ``F`` frames
+    of ``chunk`` under valuation ``v``, so a frame predicate widens to the
+    batch by one multiplication.  Returns the number of frames read, the
+    mask of those that pass the filters, and ``(frame offset, valuation
+    index, point)`` of the first failing model in stream order, or None."""
+    preds: dict = {}
+    live = scanned = 0
+    for f, (frame, keys) in enumerate(chunk):
+        scanned += 1
+        if all(check(frame({})) for check in filters):
+            live |= 1 << f
+            for group in keys:
+                for key in group:
+                    preds[key] = preds.get(key, 0) | 1 << f
+    if not live:
+        return scanned, live, None
+    n, valuations = len(space.points), len(space.valuations)
+    full = (1 << scanned * valuations) - 1
+    repunit = full // ((1 << scanned) - 1)
+    preds = {key: frames * repunit for key, frames in preds.items()}
+    present = [live * repunit & (full ^ preds.pop(("absent", p), 0)) for p in range(n)]
+    atoms = dict(atoms_for(scanned))  # empty for ifom, whose atoms are keys
+    for key in [key for key in preds if key[0] == "atom"]:
+        atoms.setdefault(key[1], [0] * n)[key[2]] |= preds.pop(key)
+
+    up = space.up
+    modal = models.KINDS[kind].batch(preds, up, full)
+    memo: dict = {}
+    good = present
+    for g in context:
+        good = [a & b for a, b in zip(good, _batch_truth_set(up, atoms, full, modal, g, memo))]
+        if not any(good):
+            return scanned, live, None
+    bad = [a & (full ^ b) for a, b in
+           zip(good, _batch_truth_set(up, atoms, full, modal, conclusion, memo))]
+    failing = functools.reduce(operator.or_, bad)
+    if not failing:
+        return scanned, live, None
+    # the least failing frame, then its first failing valuation
+    folded = 0
+    for v in range(valuations):
+        folded |= failing >> v * scanned
+    f = (folded & -folded).bit_length() - 1
+    v = next(v for v in range(valuations) if failing >> (v * scanned + f) & 1)
+    bit = v * scanned + f
+    return scanned, live, (f, v, min((space.points[p] for p in range(n) if bad[p] >> bit & 1),
+                                     key=str))
+
+
 def find_countermodel(consec: Consecution, kind: str, bounds: SearchBounds,
                       timeout_ms: Optional[int] = None, workers: int = 1):
     """The first model of ``enumerate_models`` with a point where the whole
     context holds and the conclusion fails, and the least such point by label;
-    ``NoneWithinBounds`` otherwise.  ``timeout_ms`` must not be negative.
+    ``NoneWithinBounds`` otherwise.  ``timeout_ms`` must not be negative; the
+    deadline is looked at between batches.
 
-    The search runs in this process.  ``workers`` accepts only 1; it is kept
-    for callers that still pass it and goes once the benchmark drops it."""
+    The models of one order are evaluated in batches of at most
+    ``_BATCH_MODELS`` (see ``_scan_batch``).  A hit is rebuilt by walking the
+    order's frames again to it, and re-checked with the kind's single-model
+    evaluator.  The search runs in this process.  ``workers`` accepts only 1;
+    it is kept for callers that still pass it and goes once the benchmark
+    drops it."""
     if workers != 1:
         raise ValueError(f"the search runs in one process; workers={workers!r}")
     if timeout_ms is not None and timeout_ms < 0:
@@ -276,15 +410,41 @@ def find_countermodel(consec: Consecution, kind: str, bounds: SearchBounds,
     start = time.monotonic()
     deadline = None if timeout_ms is None else start + timeout_ms / 1000.0
     context = sorted(consec.context, key=str)
+    filters = _filters(kind, bounds)
     examined = 0
-    for m in enumerate_models(kind, bounds):
-        examined += 1
-        if deadline is not None and examined % 256 == 0 and time.monotonic() > deadline:
-            return NoneWithinBounds(examined, time.monotonic() - start, True)
-        point = _violating_world(kind, m, context, consec.conclusion)
-        if point is not None:
-            return CounterexampleFound(m, point, examined - 1)
+    for n in range(1, bounds.max_worlds + 1):
+        for leq in _orders(kind, n):
+            space = _space(kind, bounds, n, leq)
+            valuations = len(space.valuations)
+            atoms_for = functools.lru_cache(maxsize=2)(
+                functools.partial(_valuation_atoms, space.valuations, n=n))
+            frames = space.frames()
+            first = 0  # the batch's first frame among the order's frames
+            while True:
+                scanned, live, hit = _scan_batch(
+                    kind, space, itertools.islice(frames, max(1, _BATCH_MODELS // valuations)),
+                    filters, atoms_for, context, consec.conclusion)
+                if hit is not None:
+                    f, v, point = hit
+                    index = examined + (live & (1 << f) - 1).bit_count() * valuations + v
+                    frame, _ = next(itertools.islice(space.frames(), first + f, None))
+                    model = frame(dict(enumerate(space.valuations[v])))
+                    _recheck(kind, model, point, context, consec.conclusion, index)
+                    return CounterexampleFound(model, point, index)
+                if not scanned:
+                    break
+                examined += live.bit_count() * valuations
+                first += scanned
+                if deadline is not None and time.monotonic() > deadline:
+                    return NoneWithinBounds(examined, time.monotonic() - start, True)
     return NoneWithinBounds(examined, time.monotonic() - start)
+
+
+def _recheck(kind: str, model, point, context, conclusion, index: int) -> None:
+    holds = models.KINDS[kind].holds
+    if not all(holds(model, point, g) for g in context) or holds(model, point, conclusion):
+        raise RuntimeError(f"the {kind} model at stream index {index} does not "
+                           f"re-check as a countermodel at {point!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +589,14 @@ def sweep_inm_validity(formulas: Sequence[Formula], bounds: SearchBounds):
     stream with a failing world and the least such world, re-checked with
     ``eval_inm``.
 
-    The frames on one order form a batch, in stream order: every
-    ``k``-combination of the candidate neighbourhoods, for ``k`` from 0 to
-    ``max_nbhds``, one bit per frame.  A truth value is a list of one int per
-    world whose bit ``b`` says whether the formula holds there on frame ``b``.
-    The filters of the bounds run once per frame and mask the batch.  The hit
-    on an order is its least failing frame, with the first valuation on
-    which that frame fails.
+    This is the batch kernel's many-formula case.  The frames on one order
+    form a batch, in stream order: every ``k``-combination of the candidate
+    neighbourhoods, for ``k`` from 0 to ``max_nbhds``, one bit per frame; it
+    is evaluated once per valuation with ``models.batch_inm``, on predicates
+    spread from the candidates to the combinations by ``_slot_vector``.  The
+    filters of the bounds run once per frame and mask the batch.  The hit on
+    an order is its least failing frame, with the first valuation on which
+    that frame fails.
     """
     results: list = [None] * len(formulas)
     pending = set(range(len(formulas)))
@@ -448,119 +609,82 @@ def sweep_inm_validity(formulas: Sequence[Formula], bounds: SearchBounds):
     return results
 
 
+def _concat(parts: list) -> int:
+    """The ``(value, width)`` parts laid end to end, the first lowest; joined
+    in pairs, so that each bit is shifted about log2(len(parts)) times."""
+    while len(parts) > 1:
+        pairs = [(a | b << width, width + more)
+                 for (a, width), (b, more) in zip(parts[::2], parts[1::2])]
+        parts = pairs + parts[2 * len(pairs):]
+    return parts[0][0] if parts else 0
+
+
 def _slot_vector(pred: int, count: int, max_k: int, slot: int) -> int:
     """Spread a bit vector over ``count`` candidates to the batch of their
     combinations of 0 to ``max_k`` candidates, by size and then in
     ``itertools.combinations`` order: bit ``b`` of the result is the bit of
     the ``slot``-th candidate of the ``b``-th combination, and 0 where that
     combination has no ``slot``-th candidate."""
-    def spread(bits: str, k: int, slot: int) -> str:
+    def parts(lo: int, k: int, slot: int) -> list:
+        # the k-combinations of the candidates from lo on: those that start
+        # with candidate i are i followed by each (k-1)-combination of the
+        # candidates after it
         if k == 1:
-            return bits
-        # the combinations that start with candidate i are i followed by
-        # each (k-1)-combination of the candidates after it
-        heads = range(len(bits) - k + 1)
+            return [(pred >> lo & (1 << count - lo) - 1, count - lo)]
+        heads = range(lo, count - k + 1)
         if slot == 0:
-            return "".join(bits[i] * math.comb(len(bits) - i - 1, k - 1) for i in heads)
-        return "".join(spread(bits[i + 1:], k - 1, slot - 1) for i in heads)
+            widths = [math.comb(count - i - 1, k - 1) for i in heads]
+            return [((1 << width) - 1 if pred >> i & 1 else 0, width)
+                    for i, width in zip(heads, widths)]
+        return [part for i in heads for part in parts(i + 1, k - 1, slot - 1)]
 
-    bits = format(pred, f"0{count}b")[::-1]
-    batch = "".join(spread(bits, k, slot) if k > slot else "0" * math.comb(count, k)
-                    for k in range(max_k + 1))
-    return int(batch[::-1], 2)
-
-
-def _meet(vectors: list) -> int:
-    return functools.reduce(operator.and_, vectors)
-
-
-def _join(vectors: list) -> int:
-    return functools.reduce(operator.or_, vectors, 0)
+    return _concat([part for k in range(max_k + 1)
+                    for part in (parts(0, k, slot) if k > slot
+                                 else [(0, math.comb(count, k))])])
 
 
 def _sweep_order(formulas, bounds, filters, n, leq, results, pending):
-    worlds = range(n)
-    up = [[v for v in worlds if (w, v) in leq] for w in worlds]
-    upsets = upsets_of_poset(n, leq)
-    cands = _inm_candidates(n, upsets)
+    space = _space("inm", bounds, n, leq)
+    cands = _inm_candidates(n, upsets_of_poset(n, leq))
     full = (1 << sum(math.comb(len(cands), k) for k in range(bounds.max_nbhds + 1))) - 1
-    frames = functools.partial(_inm_frames, bounds, n, leq, upsets)
-    live = full if not filters else int("".join(
-        "1" if all(check(frame({})) for check in filters) else "0"
-        for frame in frames())[::-1], 2)
+    live = full if not filters else models._bits(
+        f for f, (frame, _) in enumerate(space.frames())
+        if all(check(frame({})) for check in filters))
     if not live:
         return
 
     # per-candidate predicates: v in the domain, u in the value at v
     dom = [0] * n
-    val = [[0] * n for _ in worlds]
+    val = [[0] * n for _ in range(n)]
     for c, (dom_t, values) in enumerate(cands):
         for v, value in zip(dom_t, values):
             dom[v] |= 1 << c
             for u in value:
                 val[v][u] |= 1 << c
-
-    def spread(pred: int, slot: int) -> int:
-        return _slot_vector(pred, len(cands), bounds.max_nbhds, slot)
-
-    slots = [([spread(d, s) for d in dom], [[spread(x, s) for x in row] for row in val])
-             for s in range(bounds.max_nbhds)]
-
-    def ev(phi, atoms, memo):
-        r = memo.get(phi)
-        if r is not None:
-            return r
-        if isinstance(phi, Atom):
-            r = atoms[phi.index] if phi.index < len(atoms) else [0] * n
-        elif isinstance(phi, Falsum):
-            r = [0] * n
-        elif isinstance(phi, (And, Or, Implies)):
-            x = ev(phi.left, atoms, memo)
-            y = ev(phi.right, atoms, memo)
-            if isinstance(phi, And):
-                r = [a & b for a, b in zip(x, y)]
-            elif isinstance(phi, Or):
-                r = [a | b for a, b in zip(x, y)]
-            else:
-                imp = [(full ^ a) | b for a, b in zip(x, y)]
-                r = [_meet([imp[v] for v in up[w]]) for w in worlds]
-        elif isinstance(phi, Box):
-            # one neighbourhood whose values stay inside t at all successors
-            t = ev(phi.sub, atoms, memo)
-            out = [full ^ a for a in t]
-            r = [0] * n
-            for dom_s, val_s in slots:
-                miss = [_join([val_s[v][u] & out[u] for u in worlds]) for v in worlds]
-                for w in worlds:
-                    r[w] |= dom_s[w] & ~_join([miss[v] for v in up[w]])
-        elif isinstance(phi, Dia):
-            # fails at and below every world where some value misses t
-            t = ev(phi.sub, atoms, memo)
-            bad = [0] * n
-            for dom_s, val_s in slots:
-                for v in worlds:
-                    bad[v] |= dom_s[v] & ~_join([val_s[v][u] & t[u] for u in worlds])
-            r = [full & ~_join([bad[v] for v in up[w]]) for w in worlds]
-        else:
-            raise TypeError(f"not a modal-dialect formula: {phi!r}")
-        memo[phi] = r
-        return r
+    facts = [((v,), dom[v]) for v in range(n)]
+    facts += [((v, u), val[v][u]) for v in range(n) for u in range(n)]
+    preds = {}
+    for s in range(bounds.max_nbhds):
+        for key, pred in facts:
+            if pred:
+                preds[(s, *key)] = _slot_vector(pred, len(cands), bounds.max_nbhds, s)
+    modal = models.batch_inm(preds, space.up, full)
 
     hits: dict = {}  # formula -> (least failing frame, first valuation, world)
-    for vals in itertools.product(upsets, repeat=bounds.max_atoms):
-        atoms = [[full if w in ext else 0 for w in worlds] for ext in vals]
+    for vals in space.valuations:
+        atoms = {i: [full if w in ext else 0 for w in range(n)] for i, ext in enumerate(vals)}
         memo: dict = {}
         for fi in sorted(pending):
-            t = ev(formulas[fi], atoms, memo)
-            failing = live & ~_meet(t)
+            t = _batch_truth_set(space.up, atoms, full, modal, formulas[fi], memo)
+            failing = live & (full ^ functools.reduce(operator.and_, t))
             if not failing:
                 continue
             b = (failing & -failing).bit_length() - 1
             if fi not in hits or b < hits[fi][0]:
-                world = min((w for w in worlds if not t[w] >> b & 1), key=str)
+                world = min((w for w in range(n) if not t[w] >> b & 1), key=str)
                 hits[fi] = (b, vals, world)
     for fi, (b, vals, world) in hits.items():
-        frame = next(itertools.islice(frames(), b, None))
+        frame, _ = next(itertools.islice(space.frames(), b, None))
         model = frame(dict(enumerate(vals)))
         if eval_inm(model, world, formulas[fi]):
             raise RuntimeError(f"sweep witness for {formulas[fi]} does not re-check")

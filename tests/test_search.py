@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -5,13 +6,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 import imodal
 from imodal import docio
-from imodal.models import (check_full, check_ik2_frame, check_inm, eval_cnm,
-                           eval_inm, validate_cnm, validate_inm)
+from imodal.models import (KINDS, _truth_set, check_full, check_ik2_frame, check_inm,
+                           eval_cnm, eval_inm, validate_cnm, validate_inm)
 from imodal.folm import eval_modal_ifom, validate_ifom
 from imodal.search import (CounterexampleFound, NoneWithinBounds, SearchBounds,
                            enumerate_models, find_countermodel,
@@ -20,7 +22,7 @@ from imodal.search import (CounterexampleFound, NoneWithinBounds, SearchBounds,
                            sweep_inm_validity, upsets_of_poset, _orders,
                            _slot_vector)
 from imodal.syntax import (FALSUM, Atom, Box, Dia, Implies, consecution, parse,
-                           substitute)
+                           substitute, translate_bimodal)
 
 SRC = os.path.dirname(os.path.dirname(imodal.__file__))
 
@@ -177,9 +179,14 @@ class TestFindCountermodel:
         assert result.examined > 1000
 
     def test_timeout_flag(self):
+        # the space is far too large to finish: the 4-world antichain alone
+        # has C(83521, 3) frames with three neighbourhoods, so the result
+        # comes back in time only if each batch is small
         phi = parse("([]T -> <>p0) -> <>p0")
+        start = time.monotonic()
         result = find_countermodel(consecution([], phi), "inm",
                                    SearchBounds(4, 3, 1), timeout_ms=400)
+        assert time.monotonic() - start < 2.0
         assert isinstance(result, NoneWithinBounds)
         assert result.timed_out
 
@@ -233,11 +240,115 @@ class TestFindCountermodel:
                 assert (result.model, result.world, result.index) == reference
         assert hits == 2
 
+    def test_hit_is_rechecked(self, monkeypatch):
+        # a batch hit that the kind's single-model evaluator does not confirm
+        # is an error, not a result
+        monkeypatch.setitem(KINDS, "inm",
+                            dataclasses.replace(KINDS["inm"], holds=lambda m, w, phi: True))
+        with pytest.raises(RuntimeError):
+            find_countermodel(consecution([], parse("p0")), "inm", SearchBounds(1, 0, 1))
+
     def test_classical_monotone_box_small(self):
         phi = parse("[](p0 & p1) -> []p0")
         result = find_countermodel(consecution([], phi), "classical",
                                    SearchBounds(2, 2, 2))
         assert isinstance(result, NoneWithinBounds)
+
+
+def _stream_hit(consec, kind, bounds):
+    """The one-model-at-a-time reference for ``find_countermodel``: walk
+    ``enumerate_models`` and evaluate each model with its kind's single-model
+    clauses.  Returns ``(model, point, index)`` for the first model with a
+    point where the context holds and the conclusion fails, the least such
+    point by label; otherwise the number of models in the stream."""
+    context = sorted(consec.context, key=str)
+    count = 0
+    for index, m in enumerate(enumerate_models(kind, bounds)):
+        points, up, val, modal = KINDS[kind].clauses(m)
+        memo = {}
+        good = (1 << len(points)) - 1
+        for g in context:
+            good &= _truth_set(up, val, modal, g, memo)
+        bad = good & ~_truth_set(up, val, modal, consec.conclusion, memo)
+        if bad:
+            return m, points[(bad & -bad).bit_length() - 1], index
+        count += 1
+    return count
+
+
+# Per kind, the bounds of the property below: every filter, and for each
+# kind a space of a few hundred to a few thousand models.
+PROPERTY_BOUNDS = {
+    "inm": [SearchBounds(2, 2, 1), SearchBounds(2, 2, 1, require_coherent=True),
+            SearchBounds(2, 2, 1, require_cartesian=True), SearchBounds(3, 1, 1)],
+    "cnm": [SearchBounds(2, 1, 2), SearchBounds(2, 2, 1, require_full=True)],
+    "ik2": [SearchBounds(2, 0, 1)],
+    "classical": [SearchBounds(2, 2, 1), SearchBounds(3, 1, 2)],
+    "ifom": [SearchBounds(2, 1, 0), SearchBounds(2, 1, 1)],
+}
+
+
+# Hand-picked consecutions, as (kind, bounds, context, conclusion): first
+# hits deep in the stream, some in a later batch of their order, and the
+# persistence of the modalities, which a clause that skipped the successors
+# of a point would break.
+CHOSEN_CASES = [
+    ("inm", SearchBounds(2, 1, 1), ["[]p0"], "~~[]p0"),
+    ("inm", SearchBounds(2, 1, 1), ["<>p0"], "~~<>p0"),
+    ("cnm", SearchBounds(2, 1, 1), ["[]p0"], "~~[]p0"),
+    ("cnm", SearchBounds(2, 1, 1), ["<>p0"], "~~<>p0"),
+    ("ik2", SearchBounds(2, 0, 1), ["[N]p0", "<E>p0"], "~~([N]p0 & <E>p0)"),
+    ("inm", SearchBounds(3, 1, 1), [], "~p0 | ~~p0"),  # index 13915
+    ("inm", SearchBounds(2, 2, 1, require_coherent=True), [], "([]F -> <>T) -> <>T"),
+    ("inm", SearchBounds(2, 2, 1, require_cartesian=True), [], "([]F -> <>T) -> <>T"),
+    ("inm", SearchBounds(2, 2, 1), ["[]p0", "[]~p0"], "[]F"),
+    ("cnm", SearchBounds(2, 2, 1, require_full=True), ["nabla T"], "nabla p0 | nabla ~p0"),
+    ("classical", SearchBounds(3, 1, 2), [], "[]p0 -> [](p0 & p1) | []p1"),
+    ("ik2", SearchBounds(2, 0, 1), ["<E>T"], "[E]p0 | <E>~p0"),
+    ("ifom", SearchBounds(2, 1, 1), [], "p0 | ~p0"),  # index 7833
+    ("ifom", SearchBounds(2, 1, 0), [], "[]F | <>T"),
+]
+
+
+def _random_consecution(rng, kind, atoms):
+    """A random consecution of ``kind``'s dialects: zero to two context
+    formulas and a conclusion."""
+    def draw(depth):
+        if kind == "ik2":
+            return translate_bimodal(random_formula(rng, depth, atoms))
+        dialect = rng.choice(["modal", "nabla"]) if kind == "cnm" else "modal"
+        return random_formula(rng, depth, atoms, dialect)
+    return consecution([draw(2) for _ in range(rng.randrange(3))], draw(3))
+
+
+class TestBatchAgainstStream:
+    @pytest.mark.parametrize("kind", sorted(PROPERTY_BOUNDS))
+    def test_find_countermodel_matches_the_stream(self, kind):
+        # with seed 5 the random cases give every kind both hits and
+        # exhausted searches
+        rng = random.Random(5)
+        cases = [(bounds, _random_consecution(rng, kind, bounds.max_atoms))
+                 for bounds in PROPERTY_BOUNDS[kind]
+                 for _ in range(8 if bounds.max_worlds == 2 else 3)]
+        def read(text):
+            return parse(text, "bimodal" if kind == "ik2" else
+                         "nabla" if "nabla" in text else "modal")
+        cases += [(bounds, consecution(map(read, context), read(conclusion)))
+                  for case_kind, bounds, context, conclusion in CHOSEN_CASES
+                  if case_kind == kind]
+        outcomes = set()
+        for bounds, consec in cases:
+            result = find_countermodel(consec, kind, bounds)
+            reference = _stream_hit(consec, kind, bounds)
+            if isinstance(reference, int):
+                outcomes.add("exhausted")
+                assert isinstance(result, NoneWithinBounds), (bounds, consec)
+                assert result.examined == reference and not result.timed_out
+            else:
+                outcomes.add("hit")
+                assert isinstance(result, CounterexampleFound), (bounds, consec)
+                assert (result.model, result.world, result.index) == reference
+        assert outcomes == {"hit", "exhausted"}
 
 
 def _pointwise_ifom_scan(consec, bounds):
@@ -334,10 +445,10 @@ def _sweep_batch(atom_count: int) -> list:
 
 
 def _search_hit(phi, bounds):
-    """``find_countermodel``'s hit for ``phi`` over inm as ``(model, world)``,
-    or None when the search exhausts the bounds."""
-    result = find_countermodel(consecution([], phi), "inm", bounds)
-    return (result.model, result.world) if isinstance(result, CounterexampleFound) else None
+    """The streaming reference's hit for ``phi`` over inm as ``(model,
+    world)``, or None when it exhausts the bounds."""
+    reference = _stream_hit(consecution([], phi), "inm", bounds)
+    return None if isinstance(reference, int) else reference[:2]
 
 
 class TestSweep:
@@ -406,7 +517,6 @@ class TestSweep:
         assert loaded == "[False, False, False]"
 
 
-@pytest.mark.slow
 class TestClassicalSanity:
     def test_monotone_box_has_no_countermodel(self):
         # material-box monotonicity over the full classical space
