@@ -6,8 +6,11 @@ count, then order, then frame, then valuation.  Worlds are labelled
 ``0..n-1``, and partial orders are those whose strict pairs point up the
 integer order (every finite poset has such a labelling, so the searched space
 is exhaustive up to isomorphism).  Valuations range over the upsets of the
-order (partial or pre-).  The filters of the bounds read only the frame, so
-they run once per frame.
+order (partial or pre-).  The filters of the bounds read only the frame.
+Coherence reads one neighbourhood at a time, so it is checked once per
+candidate neighbourhood on each order, and only coherent candidates make
+frames.  The Cartesian and full filters read every neighbourhood of a frame
+(r-equivalence, propagation along the preorder), so they run once per frame.
 
 ``find_countermodel`` evaluates the stream in bit-sliced batches, in one
 process.  A batch is a run of the frames of one order times all of the
@@ -124,15 +127,42 @@ def _subsets(items: Sequence) -> list:
 # ``models.batch_<kind>``), over the indices of the points, in groups that
 # the generator builds once and shares between frames.
 
-def _inm_candidates(n: int, upsets) -> list:
-    """Every neighbourhood: an upset domain with a value at each of its worlds."""
-    return [(dom, values) for dom in map(sorted, upsets)
-            for values in itertools.product(_subsets(range(n)), repeat=len(dom))]
+def _inm_candidates(n: int, leq, upsets, require_coherent: bool) -> list:
+    """Every neighbourhood on the order ``leq``: an upset domain with a value
+    at each of its worlds.  With ``require_coherent``, only the coherent ones:
+    conditions N1 and N2 each read one neighbourhood, so a frame is coherent
+    exactly when each of its neighbourhoods is, and the combinations of the
+    coherent candidates are the coherent frames, in stream order."""
+    subsets = _subsets(range(n))
+    cands = [(dom, values) for dom in map(sorted, upsets)
+             for values in itertools.product(subsets, repeat=len(dom))]
+    if not require_coherent:
+        return cands
+    # as bitmasks over the worlds: the successors of each world, the worlds
+    # with a successor in each set, and the successors of the members of it
+    up = [models._bits(v for v in range(n) if (w, v) in leq) for w in range(n)]
+    down = [models._bits(v for v in range(n) if up[v] & b) for b in range(1 << n)]
+    ups = [functools.reduce(operator.or_, (up[v] for v in s), 0) for s in subsets]
+
+    def coherent(dom, values) -> bool:
+        a = {w: models._bits(value) for w, value in zip(dom, values)}
+        for w, value in a.items():
+            reach = 0  # the union of the values at the successors of w
+            for wp, later in a.items():
+                if up[w] >> wp & 1:
+                    if value & ~down[later]:
+                        return False  # N1: a member of a(w) is below none of a(w')
+                    reach |= later
+            if ups[value] & ~reach:
+                return False  # N2: an up-move from a(w) is matched at no w' >= w
+        return True
+
+    return [(dom, values) for dom, values in cands if coherent(dom, values)]
 
 
 def _inm_frames(bounds: SearchBounds, n: int, leq, upsets) -> Iterator:
     worlds = frozenset(range(n))
-    cands = _inm_candidates(n, upsets)
+    cands = _inm_candidates(n, leq, upsets, bounds.require_coherent)
     # the keys of each candidate as the neighbourhood of each slot: lists of
     # shared keys, since a table of tuples, once freed, stays on the
     # interpreter's free lists for tuples of its sizes
@@ -190,11 +220,13 @@ _FRAMES = {"inm": _inm_frames, "classical": _classical_frames,
 
 
 def _filters(kind: str, bounds: SearchBounds) -> list:
-    """The checks that ``bounds`` asks of the models of ``kind``.  They read
-    only the frame, so each runs once per frame, on its model with an empty
-    valuation."""
-    checks = {"inm": [(bounds.require_coherent, lambda m: check_inm(m, "coherent").ok),
-                      (bounds.require_cartesian, lambda m: check_inm(m, "cartesian").ok)],
+    """The per-frame checks that ``bounds`` asks of the models of ``kind``.
+    They read only the frame, so each runs once per frame, on its model with
+    an empty valuation.  The Cartesian and full conditions read every
+    neighbourhood of a frame (r-equivalence, propagation along the preorder),
+    so they are here; coherence reads one neighbourhood at a time and is
+    checked once per candidate by ``_inm_candidates``."""
+    checks = {"inm": [(bounds.require_cartesian, lambda m: check_inm(m, "cartesian").ok)],
               "cnm": [(bounds.require_full, check_full)]}
     return [check for wanted, check in checks.get(kind, []) if wanted]
 
@@ -235,18 +267,21 @@ def _ifom_frames(bounds: SearchBounds, n: int, leq) -> Iterator:
     points are those of a grid of (world, state) pairs, the pair ``(w, x)``
     at index ``w * max_worlds + x``, and its keys are those of its ``bullet``
     image, ``("absent", p)`` for the grid points that are not its points and
-    ``("atom", i, p)`` for the points where atom ``i`` holds."""
+    ``("atom", i, p)`` for the points where atom ``i`` holds.
+
+    A world's options depend only on its base, the union of the structures
+    below it, so they are built once per base and reused while the base
+    stays the same: on the antichain every world has the empty base.  Only
+    the latest base of each world is kept, which bounds the memory."""
     state_pool = tuple(range(bounds.max_worlds))
     nbhd_pool = tuple(range(bounds.max_nbhds))
     atoms = range(bounds.max_atoms)
     worlds = frozenset(range(n))
 
-    def go(w: int, interp: dict, keys: tuple):
-        if w == n:
-            yield functools.partial(_ifom_model, worlds, leq, dict(interp)), keys
-            return
+    def options(w: int, base: FOMStructure) -> list:
+        """World ``w``'s structures over ``base``, each with its keys."""
         at = w * len(state_pool)
-        base = _union_below(interp, leq, w, bounds.max_atoms)
+        out = []
         for states in _supersets(base.states, state_pool):
             if not states:
                 continue
@@ -259,12 +294,24 @@ def _ifom_frames(bounds: SearchBounds, n: int, leq) -> Iterator:
                         image = absent + _image_keys(at, states, nbhds, relN, relE)
                         for pred_sets in itertools.product(
                                 *(_supersets(base.preds[i], sorted(states)) for i in atoms)):
-                            interp[w] = FOMStructure(
-                                states, nbhds, relN, relE,
-                                {i: pred_sets[i] for i in atoms})
-                            yield from go(w + 1, interp, keys + (image, tuple(
-                                ("atom", i, at + x) for i in atoms for x in sorted(pred_sets[i]))))
-                            del interp[w]
+                            out.append((FOMStructure(states, nbhds, relN, relE,
+                                                     dict(zip(atoms, pred_sets))),
+                                        image + tuple(("atom", i, at + x) for i in atoms
+                                                      for x in sorted(pred_sets[i]))))
+        return out
+
+    latest: list = [(None, [])] * n  # per world: its latest base and options
+
+    def go(w: int, interp: dict, keys: tuple):
+        if w == n:
+            yield functools.partial(_ifom_model, worlds, leq, dict(interp)), keys
+            return
+        base = _union_below(interp, leq, w, bounds.max_atoms)
+        if latest[w][0] != base:
+            latest[w] = (base, options(w, base))
+        for structure, group in latest[w][1]:
+            interp[w] = structure
+            yield from go(w + 1, interp, keys + (group,))
 
     yield from go(0, {}, ())
 
@@ -593,10 +640,11 @@ def sweep_inm_validity(formulas: Sequence[Formula], bounds: SearchBounds):
     form a batch, in stream order: every ``k``-combination of the candidate
     neighbourhoods, for ``k`` from 0 to ``max_nbhds``, one bit per frame; it
     is evaluated once per valuation with ``models.batch_inm``, on predicates
-    spread from the candidates to the combinations by ``_slot_vector``.  The
-    filters of the bounds run once per frame and mask the batch.  The hit on
-    an order is its least failing frame, with the first valuation on which
-    that frame fails.
+    spread from the candidates to the combinations by ``_slot_vector``.  With
+    ``require_coherent`` the candidates are the coherent ones, so every frame
+    of the batch is coherent; the Cartesian filter runs once per frame and
+    masks the batch.  The hit on an order is its least failing frame, with
+    the first valuation on which that frame fails.
     """
     results: list = [None] * len(formulas)
     pending = set(range(len(formulas)))
@@ -645,7 +693,8 @@ def _slot_vector(pred: int, count: int, max_k: int, slot: int) -> int:
 
 def _sweep_order(formulas, bounds, filters, n, leq, results, pending):
     space = _space("inm", bounds, n, leq)
-    cands = _inm_candidates(n, upsets_of_poset(n, leq))
+    # the candidates of the frames of space, whose combinations the bits number
+    cands = _inm_candidates(n, leq, upsets_of_poset(n, leq), bounds.require_coherent)
     full = (1 << sum(math.comb(len(cands), k) for k in range(bounds.max_nbhds + 1))) - 1
     live = full if not filters else models._bits(
         f for f, (frame, _) in enumerate(space.frames())

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -12,15 +14,16 @@ import pytest
 
 import imodal
 from imodal import docio
-from imodal.models import (KINDS, _truth_set, check_full, check_ik2_frame, check_inm,
-                           eval_cnm, eval_inm, validate_cnm, validate_inm)
-from imodal.folm import eval_modal_ifom, validate_ifom
+from imodal.models import (KINDS, INModel, _truth_set, check_full, check_ik2_frame,
+                           check_inm, eval_cnm, eval_inm, validate_cnm, validate_inm)
+from imodal.folm import FOMStructure, eval_modal_ifom, validate_ifom
 from imodal.search import (CounterexampleFound, NoneWithinBounds, SearchBounds,
                            enumerate_models, find_countermodel,
                            random_cnm, random_coherent_inm,
                            random_formula, random_ifom, random_inm,
-                           sweep_inm_validity, upsets_of_poset, _orders,
-                           _slot_vector)
+                           sweep_inm_validity, upsets_of_poset, _ifom_frames,
+                           _ifom_model, _image_keys, _inm_candidates, _orders,
+                           _slot_vector, _supersets, _union_below)
 from imodal.syntax import (FALSUM, Atom, Box, Dia, Implies, consecution, parse,
                            substitute, translate_bimodal)
 
@@ -52,7 +55,8 @@ STREAM_DIGESTS = {
 }
 
 # The same for filtered streams, recorded while the filters still ran on
-# every model rather than once per frame.
+# every model.  Since then the Cartesian and full filters run once per frame,
+# and coherence is checked once per candidate neighbourhood on each order.
 FILTERED_STREAM_DIGESTS = {
     "inm-coherent": ("inm", SearchBounds(3, 1, 1, require_coherent=True), 13124,
                      "96951fb4ee356fea0f357ed117074e4da71554a184e11c237c8dc6af943979e6"),
@@ -148,6 +152,79 @@ class TestEnumeration:
         rel = frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (0, 2), (1, 2)})
         assert upsets_of_poset(3, rel) == [frozenset(), frozenset({2}),
                                            frozenset({0, 1, 2})]
+
+    def test_coherent_candidates_match_check_inm(self):
+        # the per-candidate coherence check against check_inm on the
+        # one-neighbourhood model of every candidate on every order
+        checked = 0
+        for n in range(1, 4):
+            for leq in _orders("inm", n):
+                upsets = upsets_of_poset(n, leq)
+                every = _inm_candidates(n, leq, upsets, False)
+                checked += len(every)
+                assert _inm_candidates(n, leq, upsets, True) == [
+                    (dom, values) for dom, values in every
+                    if check_inm(INModel(frozenset(range(n)), leq,
+                                         {"a0": dict(zip(dom, values))}, {}), "coherent").ok]
+        assert checked == 4576
+
+    @pytest.mark.parametrize("bounds", [(2, 2, 1), (3, 1, 1)])
+    def test_coherent_stream_is_the_stream_filtered_by_check_inm(self, bounds):
+        coherent = [m for m in enumerate_models("inm", SearchBounds(*bounds))
+                    if check_inm(m, "coherent").ok]
+        assert list(enumerate_models("inm", SearchBounds(*bounds, require_coherent=True))) \
+            == coherent
+        assert list(enumerate_models("inm", SearchBounds(*bounds, require_coherent=True,
+                                                         require_cartesian=True))) \
+            == [m for m in coherent if check_inm(m, "cartesian").ok]
+
+    @pytest.mark.parametrize("bounds", [(2, 1, 1), (3, 0, 0), (1, 2, 2)])
+    def test_ifom_frames_match_the_reference(self, bounds):
+        bounds = SearchBounds(*bounds)
+        for n in range(1, bounds.max_worlds + 1):
+            for leq in _orders("ifom", n):
+                for (frame, keys), (reference, reference_keys) in zip(
+                        _ifom_frames(bounds, n, leq), _ifom_reference_frames(bounds, n, leq),
+                        strict=True):
+                    assert docio.model_to_doc(frame({})) == docio.model_to_doc(reference({}))
+                    assert collections.Counter(itertools.chain.from_iterable(keys)) \
+                        == collections.Counter(itertools.chain.from_iterable(reference_keys))
+
+
+def _ifom_reference_frames(bounds: SearchBounds, n: int, leq):
+    """The reference for ``_ifom_frames``: the same structures and keys,
+    built by a recursion that rebuilds a world's options at each visit."""
+    state_pool = tuple(range(bounds.max_worlds))
+    nbhd_pool = tuple(range(bounds.max_nbhds))
+    atoms = range(bounds.max_atoms)
+    worlds = frozenset(range(n))
+
+    def go(w: int, interp: dict, keys: tuple):
+        if w == n:
+            yield functools.partial(_ifom_model, worlds, leq, dict(interp)), keys
+            return
+        at = w * len(state_pool)
+        base = _union_below(interp, leq, w, bounds.max_atoms)
+        for states in _supersets(base.states, state_pool):
+            if not states:
+                continue
+            absent = tuple(("absent", at + x) for x in state_pool if x not in states)
+            for nbhds in _supersets(base.nbhds, nbhd_pool):
+                rn_pool = [(x, a) for x in sorted(states) for a in sorted(nbhds)]
+                re_pool = [(a, x) for a in sorted(nbhds) for x in sorted(states)]
+                for relN in _supersets(base.relN, rn_pool):
+                    for relE in _supersets(base.relE, re_pool):
+                        image = absent + _image_keys(at, states, nbhds, relN, relE)
+                        for pred_sets in itertools.product(
+                                *(_supersets(base.preds[i], sorted(states)) for i in atoms)):
+                            interp[w] = FOMStructure(
+                                states, nbhds, relN, relE,
+                                {i: pred_sets[i] for i in atoms})
+                            yield from go(w + 1, interp, keys + (image, tuple(
+                                ("atom", i, at + x) for i in atoms for x in sorted(pred_sets[i]))))
+                            del interp[w]
+
+    yield from go(0, {}, ())
 
 
 class TestFindCountermodel:
