@@ -108,12 +108,10 @@ _JSON_TYPES = ((dict, "an object"), (list, "a list"), (str, "a string"),
 
 def _typed(value, typ, path: str):
     """``value`` if it has the JSON type ``typ`` (``dict``, ``list`` or
-    ``str``), or for ``typ=None`` if it is a label (any JSON scalar);
-    otherwise a ``DocumentError`` naming the field ``path``."""
-    if isinstance(value, (dict, list)) if typ is None else not isinstance(value, typ):
-        want = "a label" if typ is None else dict(_JSON_TYPES)[typ]
+    ``str``), otherwise a ``DocumentError`` naming the field ``path``."""
+    if not isinstance(value, typ):
         got = next(name for t, name in _JSON_TYPES if isinstance(value, t))
-        raise DocumentError(f"{path}: expected {want}, got {got}")
+        raise DocumentError(f"{path}: expected {dict(_JSON_TYPES)[typ]}, got {got}")
     return value
 
 
@@ -155,32 +153,30 @@ def _build_model(kind: str, doc: dict):
     worlds = frozenset(_typed(w, str, f"worlds[{i}]")
                        for i, w in enumerate(_get(doc, "worlds", list, "worlds")))
 
-    def world(w, path):
-        if _typed(w, str, path) not in worlds:
+    def world(w, path, known=worlds):  # known=None: an ifom state or neighbourhood
+        _typed(w, str, path)
+        if known is not None and w not in known:
             raise DocumentError(f"{path}: reference to unknown world {w!r}")
         return w
 
-    def local(x, path):  # ifom states and neighbourhoods: any JSON scalar
-        return _typed(x, None, path)
-
-    def labels(items, path, check=world):
-        return [check(x, f"{path}[{i}]") for i, x in enumerate(_typed(items, list, path))]
+    def labels(items, path, known=worlds):
+        return [world(x, f"{path}[{i}]", known) for i, x in enumerate(_typed(items, list, path))]
 
     def field(rec, prefix, key, typ):
         """An optional field, empty when absent."""
         return _typed(rec.get(key, typ()), typ, prefix + key)
 
-    def pairs(rec, prefix, key, check=world):
+    def pairs(rec, prefix, key, known=worlds):
         out = set()
         for i, p in enumerate(field(rec, prefix, key, list)):
             path = f"{prefix}{key}[{i}]"
             if len(_typed(p, list, path)) != 2:
                 raise DocumentError(f"{path}: expected a pair, got {len(p)} items")
-            out.add(tuple(labels(p, path, check)))
+            out.add(tuple(labels(p, path, known)))
         return frozenset(out)
 
-    def valuation(rec, prefix, key, check=world):
-        return {_atom(i, prefix + key): frozenset(labels(ws, f"{prefix}{key}.{i}", check))
+    def valuation(rec, prefix, key, known=worlds):
+        return {_atom(i, prefix + key): frozenset(labels(ws, f"{prefix}{key}.{i}", known))
                 for i, ws in field(rec, prefix, key, dict).items()}
 
     def gamma():
@@ -211,10 +207,10 @@ def _build_model(kind: str, doc: dict):
         rec = _get(records, w, dict, prefix[:-1])
         interp[w] = FOMStructure(
             frozenset(labels(_get(rec, "states", list, prefix + "states"),
-                             prefix + "states", local)),
-            frozenset(labels(rec.get("nbhds", []), prefix + "nbhds", local)),
-            pairs(rec, prefix, "N", local), pairs(rec, prefix, "E", local),
-            valuation(rec, prefix, "preds", local))
+                             prefix + "states", None)),
+            frozenset(labels(rec.get("nbhds", []), prefix + "nbhds", None)),
+            pairs(rec, prefix, "N", None), pairs(rec, prefix, "E", None),
+            valuation(rec, prefix, "preds", None))
     return IFOMStructure(worlds, leq, interp)
 
 

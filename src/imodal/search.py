@@ -50,7 +50,7 @@ from typing import Iterator, Optional, Sequence
 from . import models
 from .folm import FOMStructure, IFOMStructure
 from .models import (CNModel, IK2Model, INModel, NbhdModel, _batch_truth_set,
-                     check_ik2_frame, check_full, check_inm, eval_inm)
+                     check_ik2_frame, check_inm, eval_inm)
 from .orders import is_transitive, is_upward_closed, reflexive_transitive_closure
 from .syntax import (And, Atom, Box, Consecution, Dia, FALSUM, Formula, Implies,
                      Nabla, Or, in_dialect)
@@ -221,14 +221,22 @@ _FRAMES = {"inm": _inm_frames, "classical": _classical_frames,
 
 def _filters(kind: str, bounds: SearchBounds) -> list:
     """The per-frame checks that ``bounds`` asks of the models of ``kind``.
-    They read only the frame, so each runs once per frame, on its model with
-    an empty valuation.  The Cartesian and full conditions read every
-    neighbourhood of a frame (r-equivalence, propagation along the preorder),
-    so they are here; coherence reads one neighbourhood at a time and is
-    checked once per candidate by ``_inm_candidates``."""
-    checks = {"inm": [(bounds.require_cartesian, lambda m: check_inm(m, "cartesian").ok)],
-              "cnm": [(bounds.require_full, check_full)]}
-    return [check for wanted, check in checks.get(kind, []) if wanted]
+    Each ``require_*`` filter must name a level of the kind's checks in
+    ``models.KINDS`` (coherent and cartesian for inm, full for cnm); any
+    other raises ``ValueError``.  The checks read only the frame, so each
+    runs once per frame, on its model with an empty valuation.  The Cartesian
+    and full conditions read every neighbourhood of a frame (r-equivalence,
+    propagation along the preorder), so they are here; coherence reads one
+    neighbourhood at a time and is checked once per candidate by
+    ``_inm_candidates``."""
+    checks = models.KINDS[kind].checks
+    wanted = [level for level in ("coherent", "cartesian", "full")
+              if getattr(bounds, f"require_{level}")]
+    for level in wanted:
+        if level not in checks:
+            raise ValueError(f"require_{level} does not apply to {kind} models")
+    return [lambda m, check=checks[level]: check(m).ok
+            for level in wanted if level != "coherent"]
 
 
 def _supersets(base: frozenset, pool: Sequence) -> list:

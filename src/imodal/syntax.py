@@ -6,19 +6,21 @@ Dialects:
   * ``nabla``   -- single monotone modality (Nabla)
   * ``bimodal`` -- indexed boxes/diamonds over the indices ``N`` and ``E``
 
+One token table, ``_TOKENS``, gives each token's ASCII spelling, its UTF-8
+synonym and what it stands for; a modality's entry names the node class it
+builds, which fixes its dialect, and the index.  The tokenizer is a regular
+expression built from the table, the parser looks tokens up in it, and the
+printer spells nodes from its inverse.  An atom is ``p`` and ASCII digits.
 Negation and verum are abbreviations: ``~x`` parses to ``x -> F`` and ``T``
-parses to ``F -> F``.  The printer re-sugars both.
+to ``F -> F``; the printer re-sugars both.
 
-Formula nodes are hash-consed: there is at most one live node per distinct
-formula, kept in a weak table, so equal formulas are the same object, a
-formula shared by many formulas is stored once, and equality is identity.  A
-node computes its hash (that of its field tuple, as a frozen dataclass would)
-and its set of dialects once, when it is built; copies and unpickled nodes
-are the canonical node.
+Formula nodes are hash-consed (see ``Formula``): equal formulas are one
+object, so equality is identity.
 """
 
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -33,10 +35,12 @@ _NODES = weakref.WeakValueDictionary()
 
 class Formula:
     """Base of the formula classes.  Nodes are hash-consed: constructing a
-    node whose class and fields equal those of a live node returns that node,
-    so equal formulas are one object and equality is identity.  Each node
-    keeps its hash, that of its field tuple, and ``dialects``, the dialects
-    it belongs to; both are computed once, at construction."""
+    node whose class and fields equal those of a live node, kept in a weak
+    table, returns that node, so equal formulas are one object, a shared
+    subformula is stored once, and equality is identity.  Copies and
+    unpickled nodes are the canonical node.  Each node keeps its hash, that
+    of its field tuple (as a frozen dataclass would), and ``dialects``, the
+    dialects it belongs to; both are computed once, at construction."""
 
     __slots__ = ("_hash", "dialects", "__weakref__")
     _fields: tuple = ()
@@ -153,105 +157,56 @@ class FormulaSyntaxError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / parser
+# The token table, the tokenizer, the parser and the printer
 # ---------------------------------------------------------------------------
 
-# UTF-8 synonyms for the ASCII token vocabulary.
-_UTF_SYNONYMS = {
-    "□": "[]",     # box
-    "◇": "<>",     # diamond
-    "▽": "nabla",  # nabla
-    "⊥": "F",
-    "⊤": "T",
-    "¬": "~",
-    "∧": "&",
-    "∨": "|",
-    "→": "->",
-}
+# Every token but an atom: its kind, its ASCII spelling, its UTF-8 synonym and
+# what it stands for, which is a binary node class, ``neg``, a constant, or a
+# modality's node class and index.  A modality's dialect is its class's.
+_TOKENS = (
+    ("op", "->", "→", Implies),
+    ("op", "|", "∨", Or),
+    ("op", "&", "∧", And),
+    ("op", "~", "¬", neg),
+    ("const", "F", "⊥", FALSUM),
+    ("const", "T", "⊤", TRUE),
+    ("lpar", "(", None, None),
+    ("rpar", ")", None, None),
+    ("mod", "[]", "□", (Box, None)),
+    ("mod", "<>", "◇", (Dia, None)),
+    ("mod", "nabla", "▽", (Nabla, None)),
+    ("mod", "[N]", None, (BiBox, "N")),
+    ("mod", "<N>", None, (BiDia, "N")),
+    ("mod", "[E]", None, (BiBox, "E")),
+    ("mod", "<E>", None, (BiDia, "E")),
+)
 
-_MODAL_TOKENS = {
-    "[]": ("modal", Box),
-    "<>": ("modal", Dia),
-    "nabla": ("nabla", Nabla),
-    "[N]": ("bimodal", lambda s: BiBox("N", s)),
-    "<N>": ("bimodal", lambda s: BiDia("N", s)),
-    "[E]": ("bimodal", lambda s: BiBox("E", s)),
-    "<E>": ("bimodal", lambda s: BiDia("E", s)),
-}
+# spelling or synonym -> (kind, ASCII spelling), the token the parser reads
+_READ = {text: (kind, spelling) for kind, spelling, synonym, _ in _TOKENS
+         for text in (spelling, synonym) if text}
+_MEANING = {spelling: meaning for _, spelling, _, meaning in _TOKENS}
+_SPELLING = {meaning: spelling for spelling, meaning in _MEANING.items() if meaning}
+
+# ``\s`` matches where ``str.isspace()`` holds; atom indices are ASCII digits.
+# No spelling is a prefix of another, so the order of the alternatives is free.
+_LEXER = re.compile(r"(?P<space>\s+)|p(?P<atom>[0-9]+)|(?P<token>{})|(?P<bad>.)".format(
+    "|".join(map(re.escape, _READ))), re.DOTALL)
+
+_MALFORMED = {"[": "malformed box modality", "<": "malformed diamond modality"}
 
 
 def _tokenize(text: str):
     tokens = []  # (kind, value, position)
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _UTF_SYNONYMS:
-            syn = _UTF_SYNONYMS[c]
-            if syn in _MODAL_TOKENS:
-                tokens.append(("mod", syn, i))
-            elif syn == "->":
-                tokens.append(("op", "->", i))
-            elif syn in ("&", "|", "~"):
-                tokens.append(("op", syn, i))
-            else:
-                tokens.append(("const", syn, i))
-            i += 1
-            continue
-        if c == "p" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("atom", int(text[i + 1:j]), i))
-            i = j
-            continue
-        if text.startswith("nabla", i):
-            tokens.append(("mod", "nabla", i))
-            i += 5
-            continue
-        if c == "[":
-            for lit in ("[]", "[N]", "[E]"):
-                if text.startswith(lit, i):
-                    tokens.append(("mod", lit, i))
-                    i += len(lit)
-                    break
-            else:
-                raise FormulaSyntaxError("malformed box modality", i)
-            continue
-        if c == "<":
-            for lit in ("<>", "<N>", "<E>"):
-                if text.startswith(lit, i):
-                    tokens.append(("mod", lit, i))
-                    i += len(lit)
-                    break
-            else:
-                raise FormulaSyntaxError("malformed diamond modality", i)
-            continue
-        if text.startswith("->", i):
-            tokens.append(("op", "->", i))
-            i += 2
-            continue
-        if c in ("&", "|", "~"):
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c in ("F", "T"):
-            tokens.append(("const", c, i))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(("lpar", "(", i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(("rpar", ")", i))
-            i += 1
-            continue
-        raise FormulaSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(("end", None, n))
+    for m in _LEXER.finditer(text):
+        group, pos = m.lastgroup, m.start()
+        if group == "token":
+            tokens.append((*_READ[m.group()], pos))
+        elif group == "atom":
+            tokens.append(("atom", int(m.group("atom")), pos))
+        elif group == "bad":
+            c = m.group()
+            raise FormulaSyntaxError(_MALFORMED.get(c, f"unexpected character {c!r}"), pos)
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -300,7 +255,7 @@ class _Parser:
 
     def parse_formula(self):
         left, depth = self.parse_disjunction()
-        if self.peek()[:2] == ("op", "->"):
+        if _MEANING.get(self.peek()[1]) is Implies:
             pos = self.advance()[2]
             right, rdepth = self.nested(self.parse_formula, pos)  # right-associative
             return Implies(left, right), self.check(max(depth + 1, rdepth), pos)
@@ -308,7 +263,7 @@ class _Parser:
 
     def parse_disjunction(self):
         node, depth = self.parse_conjunction()
-        while self.peek()[:2] == ("op", "|"):
+        while _MEANING.get(self.peek()[1]) is Or:
             pos = self.advance()[2]
             right, rdepth = self.parse_conjunction()
             node, depth = Or(node, right), self.check(max(depth, rdepth) + 1, pos)
@@ -316,7 +271,7 @@ class _Parser:
 
     def parse_conjunction(self):
         node, depth = self.parse_unary()
-        while self.peek()[:2] == ("op", "&"):
+        while _MEANING.get(self.peek()[1]) is And:
             pos = self.advance()[2]
             right, rdepth = self.parse_unary()
             node, depth = And(node, right), self.check(max(depth, rdepth) + 1, pos)
@@ -324,18 +279,18 @@ class _Parser:
 
     def parse_unary(self):
         kind, value, pos = self.peek()
-        if kind == "op" and value == "~":
+        if _MEANING.get(value) is neg:
             self.advance()
             sub, depth = self.nested(self.parse_unary, pos)
             return neg(sub), depth
         if kind == "mod":
-            required, build = _MODAL_TOKENS[value]
-            if required != self.dialect:
+            node, index = _MEANING[value]
+            if self.dialect not in node._dialects:
                 raise FormulaSyntaxError(
                     f"modality {value!r} is not part of the {self.dialect} dialect", pos)
             self.advance()
             sub, depth = self.nested(self.parse_unary, pos)
-            return build(sub), depth
+            return (node(sub) if index is None else node(index, sub)), depth
         return self.parse_atom()
 
     def parse_atom(self):
@@ -343,7 +298,8 @@ class _Parser:
         if kind == "atom":
             return Atom(value), 0
         if kind == "const":
-            return (FALSUM, 0) if value == "F" else (TRUE, 1)
+            node = _MEANING[value]
+            return node, int(node is TRUE)  # T is F -> F
         if kind == "lpar":
             node = self.nested(self.parse_formula, pos)
             self.expect("rpar")
@@ -367,48 +323,27 @@ def parse(text: str, dialect: str = "modal") -> Formula:
     return node
 
 
-# ---------------------------------------------------------------------------
-# Printer
-# ---------------------------------------------------------------------------
-
-_PREC_IMPL = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNARY = 4
-_PREC_ATOM = 5
-
-_BI_LITERAL = {("box", "N"): "[N]", ("dia", "N"): "<N>",
-               ("box", "E"): "[E]", ("dia", "E"): "<E>"}
+_PREC_UNARY, _PREC_ATOM = 4, 5
+# binary node class -> its precedence and those asked of its left and right
+# operands: & and | group to the left, -> to the right
+_BINARY = {Implies: (1, 2, 1), Or: (2, 2, 3), And: (3, 3, 4)}
 
 
 def _render(phi: Formula, min_prec: int) -> str:
-    if phi == TRUE:
-        text, prec = "T", _PREC_ATOM
+    if phi is TRUE or phi is FALSUM:
+        text, prec = _SPELLING[phi], _PREC_ATOM
     elif isinstance(phi, Atom):
         text, prec = f"p{phi.index}", _PREC_ATOM
-    elif isinstance(phi, Falsum):
-        text, prec = "F", _PREC_ATOM
-    elif isinstance(phi, Implies) and phi.right == FALSUM:
-        text, prec = "~" + _render(phi.left, _PREC_UNARY), _PREC_UNARY
-    elif isinstance(phi, Box):
-        text, prec = "[]" + _render(phi.sub, _PREC_UNARY), _PREC_UNARY
-    elif isinstance(phi, Dia):
-        text, prec = "<>" + _render(phi.sub, _PREC_UNARY), _PREC_UNARY
-    elif isinstance(phi, Nabla):
-        text, prec = "nabla " + _render(phi.sub, _PREC_UNARY), _PREC_UNARY
-    elif isinstance(phi, BiBox):
-        text, prec = _BI_LITERAL[("box", phi.index)] + _render(phi.sub, _PREC_UNARY), _PREC_UNARY
-    elif isinstance(phi, BiDia):
-        text, prec = _BI_LITERAL[("dia", phi.index)] + _render(phi.sub, _PREC_UNARY), _PREC_UNARY
-    elif isinstance(phi, And):
-        text = _render(phi.left, _PREC_AND) + " & " + _render(phi.right, _PREC_AND + 1)
-        prec = _PREC_AND
-    elif isinstance(phi, Or):
-        text = _render(phi.left, _PREC_OR) + " | " + _render(phi.right, _PREC_OR + 1)
-        prec = _PREC_OR
-    elif isinstance(phi, Implies):
-        text = _render(phi.left, _PREC_IMPL + 1) + " -> " + _render(phi.right, _PREC_IMPL)
-        prec = _PREC_IMPL
+    elif isinstance(phi, Implies) and phi.right is FALSUM:
+        text, prec = _SPELLING[neg] + _render(phi.left, _PREC_UNARY), _PREC_UNARY
+    elif isinstance(phi, (Box, Dia, Nabla, BiBox, BiDia)):
+        prefix = _SPELLING[type(phi), getattr(phi, "index", None)]
+        if prefix.isalpha():  # a word, ``nabla``, is set off from its operand
+            prefix += " "
+        text, prec = prefix + _render(phi.sub, _PREC_UNARY), _PREC_UNARY
+    elif type(phi) in _BINARY:
+        prec, left, right = _BINARY[type(phi)]
+        text = f"{_render(phi.left, left)} {_SPELLING[type(phi)]} {_render(phi.right, right)}"
     else:
         raise TypeError(f"not a formula: {phi!r}")
     if prec < min_prec:
@@ -457,9 +392,7 @@ def modal_depth(phi: Formula) -> int:
     Implications count because their semantics quantifies over order
     successors.  The verum abbreviation ``F -> F`` costs nothing.
     """
-    if phi == TRUE:
-        return 0
-    if isinstance(phi, (Atom, Falsum)):
+    if phi is TRUE or isinstance(phi, (Atom, Falsum)):
         return 0
     if isinstance(phi, (And, Or)):
         return max(modal_depth(phi.left), modal_depth(phi.right))
@@ -474,36 +407,33 @@ def in_dialect(phi: Formula, dialect: str) -> bool:
     return dialect in phi.dialects
 
 
-def embed_box(phi: Formula) -> Formula:
-    """Replace each nabla with a box, homomorphically elsewhere."""
+def _rebuild(phi: Formula, replace: Mapping, error: str) -> Formula:
+    """``phi`` with each modal node replaced by ``replace[type(node)]`` of its
+    rebuilt operand, homomorphically elsewhere; any other modal node raises
+    ``TypeError`` with ``error``."""
     if isinstance(phi, (Atom, Falsum)):
         return phi
     if isinstance(phi, (And, Or, Implies)):
-        return type(phi)(embed_box(phi.left), embed_box(phi.right))
-    if isinstance(phi, Nabla):
-        return Box(embed_box(phi.sub))
-    raise TypeError(f"not a nabla-dialect formula: {phi!r}")
+        return type(phi)(_rebuild(phi.left, replace, error),
+                         _rebuild(phi.right, replace, error))
+    build = replace.get(type(phi))
+    if build is None:
+        raise TypeError(f"{error}: {phi!r}")
+    return build(_rebuild(phi.sub, replace, error))
+
+
+def embed_box(phi: Formula) -> Formula:
+    """Replace each nabla with a box, homomorphically elsewhere."""
+    return _rebuild(phi, {Nabla: Box}, "not a nabla-dialect formula")
 
 
 def embed_dia(phi: Formula) -> Formula:
     """Replace each nabla with a diamond, homomorphically elsewhere."""
-    if isinstance(phi, (Atom, Falsum)):
-        return phi
-    if isinstance(phi, (And, Or, Implies)):
-        return type(phi)(embed_dia(phi.left), embed_dia(phi.right))
-    if isinstance(phi, Nabla):
-        return Dia(embed_dia(phi.sub))
-    raise TypeError(f"not a nabla-dialect formula: {phi!r}")
+    return _rebuild(phi, {Nabla: Dia}, "not a nabla-dialect formula")
 
 
 def translate_bimodal(phi: Formula) -> Formula:
     """Modal-to-bimodal translation: box |-> <N>[E], diamond |-> [N]<E>."""
-    if isinstance(phi, (Atom, Falsum)):
-        return phi
-    if isinstance(phi, (And, Or, Implies)):
-        return type(phi)(translate_bimodal(phi.left), translate_bimodal(phi.right))
-    if isinstance(phi, Box):
-        return BiDia("N", BiBox("E", translate_bimodal(phi.sub)))
-    if isinstance(phi, Dia):
-        return BiBox("N", BiDia("E", translate_bimodal(phi.sub)))
-    raise TypeError(f"not a modal-dialect formula: {phi!r}")
+    return _rebuild(phi, {Box: lambda sub: BiDia("N", BiBox("E", sub)),
+                          Dia: lambda sub: BiBox("N", BiDia("E", sub))},
+                    "not a modal-dialect formula")

@@ -38,6 +38,14 @@ class TestParseCommand:
         code, _, err = run(capsys, "parse", "p0 &")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("argv", [["parse", "p²"], ["parse", "p0 & p١"],
+                                      ["eval", f"{DATA}/wm_counterexample.json", "w", "p²"]],
+                             ids=["parse", "parse-arabic-indic", "eval"])
+    def test_non_ascii_digits_exit_code(self, capsys, argv):
+        # atom indices are ASCII digits; "²".isdigit() holds, but int("²") fails
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
     @pytest.mark.parametrize("text", ["~" * 3000 + "p0", "(" * 1200],
                              ids=["negations", "parentheses"])
     def test_deep_nesting_exit_code(self, capsys, text):
@@ -45,10 +53,11 @@ class TestParseCommand:
         assert code == 2 and "nested more than" in err
 
 
-# the formula vocabulary, a few of its fragments, and the UTF-8 synonyms
+# the formula vocabulary, a few of its fragments, the UTF-8 synonyms, and
+# digits that are not ASCII (str.isdigit() holds for both)
 TOKENS = ["p0", "p1", "p", "1", "F", "T", "~", "&", "|", "->", "-", ">", "(", ")",
           "[]", "<>", "[", "]", "<", "nabla", "[N]", "<E>", "N", "E", " ",
-          "□", "◇", "▽", "⊥", "⊤", "¬", "∧", "∨", "→"]
+          "□", "◇", "▽", "⊥", "⊤", "¬", "∧", "∨", "→", "²", "١"]
 
 
 def _exit_code(argv) -> int:
@@ -396,6 +405,22 @@ class TestCheckModelCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "'interpretation.w2.states'" in err
 
+    @pytest.mark.parametrize("record, field", [
+        ({"states": [1], "preds": {"0": [1]}}, "interpretation.w.states[0]"),
+        ({"states": ["d"], "preds": {"0": [1]}}, "interpretation.w.preds.0[0]"),
+        ({"states": ["d"], "nbhds": [2]}, "interpretation.w.nbhds[0]"),
+        ({"states": ["d"], "nbhds": ["a"], "N": [["d", 2]]}, "interpretation.w.N[0][1]"),
+        ({"states": ["d"], "nbhds": ["a"], "E": [[True, "d"]]}, "interpretation.w.E[0][0]"),
+    ], ids=["state", "pred", "nbhd", "N", "E"])
+    def test_ifom_labels_are_strings(self, tmp_path, capsys, record, field):
+        # a numeric state could never be named on the command line as w/1
+        doc = {"kind": "ifom", "worlds": ["w"], "order": [], "interpretation": {"w": record}}
+        path = tmp_path / "numeric.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "eval", str(path), "w/1", "p0")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"{field}: expected a string, got " in err
+
     def test_invalid_document_rejected_on_eval(self, tmp_path, capsys):
         doc = {"kind": "inm", "worlds": ["w"], "order": [],
                "neighbourhoods": {"a": {"zz": []}}, "valuation": {}}
@@ -530,6 +555,15 @@ class TestSearchCommand:
     def test_negative_timeout_exit_code(self, capsys):
         code, out, err = run(capsys, "search", "p0", "--timeout-ms", "-5")
         assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("kind, flag", [("classical", "--full"), ("cnm", "--coherent"),
+                                            ("ik2", "--cartesian"), ("ifom", "--coherent"),
+                                            ("inm", "--full")])
+    def test_filter_the_kind_lacks_exit_code(self, capsys, kind, flag):
+        code, out, err = run(capsys, "search", "p0 | ~p0", "--kind", kind, flag,
+                             "--max-worlds", "1", "--max-nbhds", "1", "--max-atoms", "1")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: require_{flag[2:]} does not apply to {kind} models")
 
     def test_atom_search(self, capsys):
         code, out, _ = run(capsys, "search", "--json", "p0",

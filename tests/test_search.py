@@ -67,6 +67,13 @@ FILTERED_STREAM_DIGESTS = {
 }
 
 
+# every require_* filter a kind does not have: inm has coherent and
+# cartesian, cnm has full, and the other kinds have none
+FOREIGN_FILTERS = ([("inm", "full"), ("cnm", "coherent"), ("cnm", "cartesian")]
+                   + [(kind, flag) for kind in ("ik2", "ifom", "classical")
+                      for flag in ("coherent", "cartesian", "full")])
+
+
 def _stream_digest(kind: str, bounds: SearchBounds):
     docs = [docio.model_to_doc(m) for m in enumerate_models(kind, bounds)]
     return len(docs), hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
@@ -99,6 +106,12 @@ class TestEnumeration:
     def test_full_filter(self):
         for m in enumerate_models("cnm", SearchBounds(2, 1, 0, require_full=True)):
             assert check_full(m)
+
+    @pytest.mark.parametrize("kind, flag", FOREIGN_FILTERS)
+    def test_foreign_filter_rejected(self, kind, flag):
+        bounds = SearchBounds(1, 0, 0, **{f"require_{flag}": True})
+        with pytest.raises(ValueError, match=f"require_{flag} does not apply to {kind}"):
+            next(enumerate_models(kind, bounds))
 
     def test_cnm_models_are_valid(self):
         count = 0
@@ -289,6 +302,12 @@ class TestFindCountermodel:
         with pytest.raises(ValueError):
             find_countermodel(consecution([], parse("p0")), "inm",
                               SearchBounds(1, 0, 1), workers=2)
+
+    @pytest.mark.parametrize("kind, flag", FOREIGN_FILTERS)
+    def test_foreign_filter_rejected(self, kind, flag):
+        bounds = SearchBounds(1, 0, 1, **{f"require_{flag}": True})
+        with pytest.raises(ValueError, match=f"require_{flag} does not apply to {kind}"):
+            find_countermodel(consecution([], parse("p0")), kind, bounds)
 
     def test_negative_timeout_rejected(self):
         with pytest.raises(ValueError):
@@ -559,6 +578,10 @@ class TestSweep:
         assert witnesses
         for model, _ in witnesses:
             assert check_inm(model, level).ok
+
+    def test_full_filter_rejected(self):
+        with pytest.raises(ValueError, match="require_full does not apply to inm"):
+            sweep_inm_validity([parse("p0")], SearchBounds(1, 0, 1, require_full=True))
 
     def test_no_neighbourhood_witness(self):
         # <>F holds just where no neighbourhood reaches, so the first witness
