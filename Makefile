@@ -1,25 +1,27 @@
 .PHONY: test fast check bench acceptance reproduce
 
+RUN = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python3
+
 # the Tier-1 command
 test:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
+	$(RUN) -m pytest -q --continue-on-collection-errors
 
 fast:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q
+	$(RUN) -m pytest -q
 
 # the tests, every evaluator against the independent reference semantics,
 # then the shipped examples (exits 1 on any failed check)
 check: fast
-	python3 bench/reference.py
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python3 -m imodal.cli reproduce
+	$(RUN) bench/reference.py
+	$(RUN) -m imodal.cli reproduce
 
 bench:
 	for w in soundness refute constructions cli; do \
-		python3 bench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+		$(RUN) bench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
 	done
 
 acceptance:
-	PYTHONPATH=src python -m pytest tests/test_acceptance.py -v -s
+	$(RUN) -m pytest tests/test_acceptance.py -v -s
 
 reproduce:
-	PYTHONPATH=src python3 -m imodal.cli reproduce
+	$(RUN) -m imodal.cli reproduce

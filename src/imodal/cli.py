@@ -13,9 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 
-from . import calculi, docio, folm, models, search, syntax, transforms
+from . import syntax
 from .syntax import parse, show
 
 
@@ -23,7 +22,13 @@ class CliError(Exception):
     pass
 
 
+# the other errors that exit 2; main reads those of the modules imported so far
+_ERRORS = {"imodal.folm": "EvaluationError", "imodal.models": "ModelError",
+           "imodal.calculi": "DerivationError"}
+
+
 def _parse_for_kind(text: str, kind: str):
+    from . import models
     last = None
     for dialect in models.KINDS[kind].dialects:
         try:
@@ -34,6 +39,7 @@ def _parse_for_kind(text: str, kind: str):
 
 
 def _load_model(path: str, validate: bool = True):
+    from . import docio
     try:
         model = docio.read_model(path, validate=validate)
     except (OSError, json.JSONDecodeError, docio.DocumentError) as exc:
@@ -67,6 +73,7 @@ def trace_eval(kind, model, point, phi):
     implication that fails is traced at its first failing successor.  The
     points of an ifom structure are its (world, state) pairs.  Returns
     ``(value, lines)``."""
+    from . import models
     spec = models.KINDS[kind]
     spec.holds(model, point, syntax.FALSUM)  # raises at an unknown point
     points, up, val, modal = spec.clauses(model)
@@ -127,6 +134,7 @@ def _point_of(kind, model, world_arg: str):
 
 
 def _cmd_eval(args) -> int:
+    from . import models
     kind, model = _load_model(args.model, validate=not args.no_validate)
     phi = _parse_for_kind(args.formula, kind)
     point = _point_of(kind, model, args.world)
@@ -149,6 +157,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check_model(args) -> int:
+    from . import models
     kind, model = _load_model(args.model, validate=False)
     spec = models.KINDS[kind]
     levels = ("basic",) + tuple(spec.checks)
@@ -173,6 +182,7 @@ def _cmd_translate(args) -> int:
     elif args.mode == "dia":
         out = show(syntax.embed_dia(parse(args.formula, "nabla")))
     else:  # st
+        from . import folm
         var = folm.Var(folm.SORT_STATE, args.var)
         out = folm.show_fo(folm.standard_translation(parse(args.formula, "modal"), var))
     print(json.dumps({"mode": args.mode, "result": out}) if args.json else out)
@@ -180,6 +190,7 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from . import docio, transforms
     kind, model = _load_model(args.model, validate=not args.no_validate)
     try:
         budget = transforms.TruncationBudget(coh_levels=args.coh_levels,
@@ -218,7 +229,10 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import docio, models, search
     kind = args.kind
+    if kind not in models.KINDS:
+        raise CliError(f"unknown kind {kind!r}; expected one of {', '.join(models.KINDS)}")
     context = [_parse_for_kind(t.strip(), kind) for t in args.context.split(";")
                if t.strip()] if args.context else []
     phi = _parse_for_kind(args.formula, kind)
@@ -250,6 +264,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_proof(args) -> int:
+    from . import calculi, docio
     spec = calculi.builtin_calculus(args.calculus)
     try:
         derivation = docio.read_derivation(args.derivation, spec.dialect)
@@ -292,11 +307,10 @@ def _cmd_proof(args) -> int:
 # Reproduction of the shipped examples
 # ---------------------------------------------------------------------------
 
-def _data(name: str) -> str:
-    return str(resources.files("imodal").joinpath("data", name))
-
-
 def _cmd_reproduce(args) -> int:
+    from importlib import resources
+    from . import calculi, docio, folm, models, search, transforms
+    data = resources.files("imodal") / "data"
     checks = []
 
     def record(label, ok):
@@ -304,28 +318,28 @@ def _cmd_reproduce(args) -> int:
         if not args.json:
             print(f"{'PASS' if ok else 'FAIL'}  {label}")
 
-    kind, wm = _load_model(_data("wm_counterexample.json"))
+    kind, wm = _load_model(data / "wm_counterexample.json")
     record("WM model: w falsifies ([]T -> <>p0) -> <>p0",
            not models.eval_cnm(wm, "w", parse("([]T -> <>p0) -> <>p0")))
     record("WM model: neither world satisfies []T",
            not models.eval_cnm(wm, "w", parse("[]T"))
            and not models.eval_cnm(wm, "v", parse("[]T")))
 
-    kind, nab = _load_model(_data("im_nabla_counterexample.json"))
+    kind, nab = _load_model(data / "im_nabla_counterexample.json")
     target = parse("(~nabla F -> nabla T) -> nabla T", "nabla")
     record("single-modality model: w falsifies (~nabla F -> nabla T) -> nabla T",
            not models.eval_cnm(nab, "w", target))
     record("single-modality model: v satisfies nabla F",
            models.eval_cnm(nab, "v", parse("nabla F", "nabla")))
 
-    kind, ik = _load_model(_data("ik2_counterexample.json"))
+    kind, ik = _load_model(data / "ik2_counterexample.json")
     big = parse("(<N>[E]F -> [N]<E>T) -> [N]<E>T", "bimodal")
     record("bimodal model: w falsifies the translated formula",
            not models.eval_ik2(ik, "w", big))
     record("bimodal model: v satisfies [N]<E>T",
            models.eval_ik2(ik, "v", parse("[N]<E>T", "bimodal")))
 
-    kind, ifm = _load_model(_data("ifom_example.json"))
+    kind, ifm = _load_model(data / "ifom_example.json")
     dia = parse("<>p0")
     direct = folm.eval_modal_ifom(ifm, "w1", "d1", dia)
     x = folm.Var(folm.SORT_STATE, "x")
@@ -334,7 +348,7 @@ def _cmd_reproduce(args) -> int:
     record("growing-structure example: (w1, d1) satisfies <>p0 by both routes",
            direct and translated)
 
-    kind, fig1 = _load_model(_data("figure1_frame.json"))
+    kind, fig1 = _load_model(data / "figure1_frame.json")
     p1 = transforms.Path(("w", "v", "u", "s"), (None, "a", "a"))
     p2 = transforms.Path(("w", "v", "t", "x"), (None, "a", "a"))
     p3 = transforms.Path(("w", "v", "v", "u", "s"), (None, None, "a", "a"))
@@ -347,7 +361,7 @@ def _cmd_reproduce(args) -> int:
 
     ik2 = calculi.builtin_calculus("IK2")
     for name in ("neg_a_translated.json", "i_dia_translated.json"):
-        d = docio.read_derivation(_data(name), "bimodal")
+        d = docio.read_derivation(data / name, "bimodal")
         try:
             calculi.check_derivation(ik2, d)
             record(f"shipped derivation {name} checks", True)
@@ -364,7 +378,7 @@ def _cmd_reproduce(args) -> int:
         ok = False
     record("compiled diamond-interaction axiom re-checks", ok)
 
-    kind, cm = _load_model(_data("inm_box_bot_counterexample.json"))
+    kind, cm = _load_model(data / "inm_box_bot_counterexample.json")
     record("neighbourhood model: w falsifies ([]F -> <>T) -> <>T",
            not models.eval_inm(cm, "w", parse("([]F -> <>T) -> <>T")))
     result = search.find_countermodel(
@@ -435,14 +449,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[common], help="bounded countermodel search")
     p.add_argument("formula")
     p.add_argument("--context", default="", help="semicolon-separated context formulas")
-    p.add_argument("--kind", choices=search.KINDS, default="inm")
+    p.add_argument("--kind", default="inm", help="model kind (default: inm)")
     p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("--max-nbhds", type=int, default=2)
     p.add_argument("--max-atoms", type=int, default=1)
     p.add_argument("--coherent", action="store_true")
     p.add_argument("--cartesian", action="store_true")
     p.add_argument("--full", action="store_true")
-    p.add_argument("--timeout-ms", type=int, default=None)
+    p.add_argument("--timeout-ms", type=int, default=None, help="default: none; ifom "
+                   "at the default bounds runs for minutes without one")
     p.add_argument("--out", default=None, help="write a found countermodel here")
     p.set_defaults(func=_cmd_search)
 
@@ -465,8 +480,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, syntax.FormulaSyntaxError, folm.EvaluationError,
-            models.ModelError, calculi.DerivationError) as exc:
+    except (CliError, syntax.FormulaSyntaxError, *(getattr(sys.modules[m], name) for m, name
+                                                    in _ERRORS.items() if m in sys.modules)) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
-from . import calculi
 from .folm import FOMStructure, IFOMStructure
 from .models import CNModel, IK2Model, INModel, KINDS, NbhdModel
 from .orders import reflexive_transitive_closure
@@ -247,6 +246,7 @@ def derivation_from_doc(doc: dict, dialect: str) -> calculi.Derivation:
 def _derivation(doc, dialect: str, prefix: str) -> calculi.Derivation:
     """The derivation of a type-checked document; ``prefix`` is the path of
     this node, such as ``premises[0].``."""
+    from . import calculi
 
     def text(value, path):
         return parse(_typed(value, str, prefix + path), dialect)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from imodal.calculi import IM_CALC, ax
 from imodal.orders import successors
 from imodal.syntax import (DIALECTS, Atom, BiDia, Box, Implies, parse,
                            translate_bimodal)
-from test_search import _run_python
+from test_search import SRC, _run_python
 
 DATA = "src/imodal/data"
 
@@ -53,11 +55,20 @@ class TestParseCommand:
         assert code == 2 and "nested more than" in err
 
 
-# the formula vocabulary, a few of its fragments, the UTF-8 synonyms, and
-# digits that are not ASCII (str.isdigit() holds for both)
+# the formula vocabulary, a few of its fragments, the UTF-8 synonyms, digits
+# that are not ASCII (str.isdigit() holds for both), and whole atoms with them
 TOKENS = ["p0", "p1", "p", "1", "F", "T", "~", "&", "|", "->", "-", ">", "(", ")",
           "[]", "<>", "[", "]", "<", "nabla", "[N]", "<E>", "N", "E", " ",
-          "□", "◇", "▽", "⊥", "⊤", "¬", "∧", "∨", "→", "²", "١"]
+          "□", "◇", "▽", "⊥", "⊤", "¬", "∧", "∨", "→", "²", "١",
+          "p²", "p0²", "p١", "p10"]
+# well-formed modal texts over whole atoms: nearly every text drawn from TOKENS
+# fails before its first atom, so few of them reach the atom path
+FORMULAS = st.recursive(
+    st.sampled_from(["T", "p0", "p10", "p²", "p0²", "p١"]),
+    lambda sub: st.one_of(st.builds("~{}".format, sub), st.builds("<>{}".format, sub),
+                          st.builds("({} & {})".format, sub, sub),
+                          st.builds("({} -> {})".format, sub, sub)),
+    max_leaves=6)
 
 
 def _exit_code(argv) -> int:
@@ -72,13 +83,35 @@ def _exit_code(argv) -> int:
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(prefix=st.tuples(st.sampled_from(["~", "(", "[]", "p0 & ", "p0 -> "]),
                         st.integers(0, 400)),
-       body=st.lists(st.sampled_from(TOKENS), max_size=30),
+       body=st.lists(st.sampled_from(TOKENS), max_size=30).map("".join) | FORMULAS,
        dialect=st.sampled_from(DIALECTS))
 def test_parse_exit_code_contract(prefix, body, dialect):
     unit, count = prefix
-    text = unit * count + "".join(body)
-    assert _exit_code(["parse", "--dialect", dialect, text]) in (0, 2)
-    assert _exit_code(["parse", text]) in (0, 2)
+    text = unit * count + body
+    # atom indices are ASCII digits, so a text with any other digit never parses
+    allowed = (2,) if any(c.isdigit() and not c.isascii() for c in text) else (0, 2)
+    assert _exit_code(["parse", "--dialect", dialect, text]) in allowed
+    assert _exit_code(["parse", text]) in allowed
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", f"{DATA}/wm_counterexample.json", "nowhere", "p0"],
+    ["parse", "p0 &"],
+    ["proof", "deduce", f"{DATA}/neg_a_translated.json", "--calculus", "IK2"],
+    ["check-model", "{array}"],
+    ["search", "p0", "--kind", "bogus"],
+], ids=["unknown-world", "parse-error", "deduce-without-phi", "array-document", "unknown-kind"])
+def test_exit_code_contract_in_a_fresh_process(tmp_path, argv):
+    # main catches the error classes of the modules it has imported so far;
+    # the in-process tests run after every module is loaded, so they cannot
+    # tell whether the command loads the module of the error it raises
+    array = tmp_path / "array.json"
+    array.write_text("[]")
+    argv = [a.format(array=array) for a in argv]
+    done = subprocess.run([sys.executable, "-m", "imodal.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
 class TestEvalCommand:
