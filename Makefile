@@ -2,9 +2,9 @@
 
 RUN = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python3
 
-# the Tier-1 command
+# the Tier-1 command, listing the ten slowest tests
 test:
-	$(RUN) -m pytest -q --continue-on-collection-errors
+	$(RUN) -m pytest -q --continue-on-collection-errors --durations=10
 
 fast:
 	$(RUN) -m pytest -q

@@ -12,28 +12,31 @@ candidate neighbourhood on each order, and only coherent candidates make
 frames.  The Cartesian and full filters read every neighbourhood of a frame
 (r-equivalence, propagation along the preorder), so they run once per frame.
 
-``find_countermodel`` evaluates the stream in bit-sliced batches, in one
-process.  A batch is a run of the frames of one order times all of the
-order's valuations, one bit per model: with ``F`` frames, model ``(f, v)``
-is bit ``v * F + f``.  A truth value is one Python int per point.  Each frame
-names the facts it has (a neighbourhood's value at a world, a relation
-pair, ...) as keys; a key's frames make one int, which a multiplication by
-the repunit of ``F``-bit blocks widens to the batch, and the kind's batch
-clause in ``models.KINDS`` reads them.  The lowest failing frame, found by
-folding the valuation blocks with OR, then its first failing valuation, is
-the stream's first hit, so its ``index`` is the model's position in the
-stream.  A batch holds at most ``_BATCH_MODELS`` models (or one frame's
-valuations, if more), and the deadline is looked at between batches.  The
-hit model is rebuilt by walking the order's frames again, and re-checked
-with the kind's single-model evaluator.  An ifom structure has no
-valuation: its points are a grid of (world, state) pairs with a key for
-each pair it lacks, and its atoms are keys too.
+``find_countermodel`` and ``sweep_inm_validity`` share one scan, in one
+process, which returns each of a list of consecutions' first hit in stream
+order.  It evaluates the stream in bit-sliced batches.  A batch is a run of
+the frames of one order times all of the order's valuations, one bit per
+model: with ``F`` frames, model ``(f, v)`` is bit ``v * F + f``.  A truth
+value is one Python int per point.  The facts of a frame (a
+neighbourhood's value at a world, a relation pair, ...) are keys, and each
+key has an ``F``-bit int of the batch's frames that have it, which is
+repeated once per valuation to widen it to the batch; the kind's batch
+clause in ``models.KINDS`` reads them.  The inm frames are the
+combinations of the candidate neighbourhoods, which come in runs that
+differ only in their last candidate, so their ints are built per run; the
+frames of the other kinds name their keys one by one.  The lowest failing
+frame, found by folding the valuation blocks with OR, then its first
+failing valuation, is the stream's first hit, so its ``index`` is the
+model's position in the stream.  A batch holds at most ``_BATCH_MODELS``
+models (or one frame's valuations, if more), and the deadline is looked at
+between batches.  A hit model is rebuilt by walking the order's frames
+again, and re-checked with the kind's single-model evaluator.  An ifom
+structure has no valuation: its points are a grid of (world, state) pairs
+with a key for each pair it lacks, and its atoms are keys too.
 
-The validity sweep (``sweep_inm_validity``) is the kernel's many-formula
-case: on each order it evaluates all of the stream's inm frames at once,
-once per valuation.  For each formula it returns the stream's first hit,
-the same as ``find_countermodel``, re-checks it with ``eval_inm``, and is
-cross-checked against a one-model-at-a-time scan in the test suite.
+The validity sweep is the scan's many-formula case: each formula is a
+consecution with an empty context, the formulas share each batch's
+evaluation, and each one leaves the scan at its first hit.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import math
 import operator
 import time
 from dataclasses import dataclass
@@ -50,7 +52,7 @@ from typing import Iterator, Optional, Sequence
 from . import models
 from .folm import FOMStructure, IFOMStructure
 from .models import (CNModel, IK2Model, INModel, NbhdModel, _batch_truth_set,
-                     check_ik2_frame, check_inm, eval_inm)
+                     check_ik2_frame, check_inm)
 from .orders import is_transitive, is_upward_closed, reflexive_transitive_closure
 from .syntax import (And, Atom, Box, Consecution, Dia, FALSUM, Formula, Implies,
                      Nabla, Or, in_dialect)
@@ -120,12 +122,13 @@ def _subsets(items: Sequence) -> list:
             for m in range(1 << len(items))]
 
 
-# Each frame generator takes the bounds, the world count, the order and the
-# sets that atoms range over, and yields the frames on that order in stream
-# order.  A frame is a pair: a function from a valuation to a model, and the
-# keys of the facts of the frame that the kind's batch clause reads (see
-# ``models.batch_<kind>``), over the indices of the points, in groups that
-# the generator builds once and shares between frames.
+# Each frame generator but inm's takes the bounds, the world count, the
+# order and the sets that atoms range over, and yields the frames on that
+# order in stream order.  A frame is a pair: a function from a valuation to
+# a model, and the keys of the facts of the frame that the kind's batch
+# clause reads (see ``models.batch_<kind>``), over the indices of the
+# points, in groups that the generator builds once and shares between
+# frames.  The inm frames name no keys: see ``_inm_batches``.
 
 def _inm_candidates(n: int, leq, upsets, require_coherent: bool) -> list:
     """Every neighbourhood on the order ``leq``: an upset domain with a value
@@ -160,22 +163,77 @@ def _inm_candidates(n: int, leq, upsets, require_coherent: bool) -> list:
     return [(dom, values) for dom, values in cands if coherent(dom, values)]
 
 
-def _inm_frames(bounds: SearchBounds, n: int, leq, upsets) -> Iterator:
+def _inm_frames(n: int, leq, cands: list, max_nbhds: int) -> Iterator:
+    """The frames on the order ``leq``, as functions from a valuation to a
+    model: the combinations of at most ``max_nbhds`` of the candidates, by
+    size, in ``itertools.combinations`` order."""
     worlds = frozenset(range(n))
-    cands = _inm_candidates(n, leq, upsets, bounds.require_coherent)
-    # the keys of each candidate as the neighbourhood of each slot: lists of
-    # shared keys, since a table of tuples, once freed, stays on the
-    # interpreter's free lists for tuples of its sizes
-    facts = {key: key for s in range(bounds.max_nbhds) for v in range(n)
-             for key in [(s, v)] + [(s, v, u) for u in range(n)]}
-    keys = [[[facts[s, w] for w in dom]
-             + [facts[s, w, u] for w, value in zip(dom, values) for u in value]
-             for dom, values in cands] for s in range(bounds.max_nbhds)]
-    for k in range(bounds.max_nbhds + 1):
-        for combo in itertools.combinations(range(len(cands)), k):
-            yield (functools.partial(INModel, worlds, leq, {f"a{i}": dict(zip(*cands[c]))
-                                                             for i, c in enumerate(combo)}),
-                   [keys[s][c] for s, c in enumerate(combo)])
+    for k in range(max_nbhds + 1):
+        for combo in itertools.combinations(cands, k):
+            yield functools.partial(INModel, worlds, leq, {f"a{i}": dict(zip(*cand))
+                                                           for i, cand in enumerate(combo)})
+
+
+def _inm_batches(n: int, cands: list, max_nbhds: int, width: int) -> Iterator:
+    """The predicates of the frames of ``_inm_frames``, in batches of at most
+    ``width`` frames, as ``(frame count, predicates)``; the key ``(s, w)``
+    says that ``w`` is in the domain of the neighbourhood in slot ``s``, and
+    ``(s, w, u)`` that ``u`` is in its value at ``w``.
+
+    The combinations of ``k`` candidates come in runs: a prefix of ``k - 1``
+    candidates, then each candidate ``lo..C-1`` after the prefix in the last
+    slot.  Over a run, a fact of a prefix slot is all ones or zero, and a
+    fact of the last slot is its column over the candidates shifted down by
+    ``lo``.  A run longer than what is left of a batch is split."""
+    # fact w: w is in the domain; fact n + w * n + u: u is in the value at
+    # w.  The columns are read off the binary strings of the candidates'
+    # fact masks, in linear time (a 4-world order has 83,521 candidates).
+    facts = n + n * n
+    keys = [[(s, w) for w in range(n)] + [(s, w, u) for w in range(n) for u in range(n)]
+            for s in range(max_nbhds)]
+    masks = [sum(1 << w | models._bits(value) << n + w * n for w, value in zip(dom, values))
+             for dom, values in cands]
+    rows = [format(mask, f"0{facts}b") for mask in masks]
+    columns = [int("".join(bits)[::-1], 2) for bits in zip(*rows)][::-1]
+    count = len(cands)
+    preds: dict = {}
+    size = 1  # the empty combination comes first, and has no facts
+    for k in range(1, max_nbhds + 1):
+        last = [(key, column) for key, column in zip(keys[k - 1], columns) if column]
+        for prefix in itertools.combinations(range(count), k - 1):
+            fixed = [keys[s][i] for s, c in enumerate(prefix)
+                     for i in range(facts) if masks[c] >> i & 1]
+            lo = prefix[-1] + 1 if prefix else 0
+            while lo < count:
+                if size == width:
+                    yield size, preds
+                    preds, size = {}, 0
+                run = min(count - lo, width - size)
+                ones = (1 << run) - 1
+                for key in fixed:
+                    preds[key] = preds.get(key, 0) | ones << size
+                for key, column in last:
+                    if column := column >> lo & ones:
+                        preds[key] = preds.get(key, 0) | column << size
+                size += run
+                lo += run
+    yield size, preds
+
+
+def _keyed_batches(frames: Iterator, width: int) -> Iterator:
+    """The predicates of frames that name their keys, in batches of at most
+    ``width`` frames, as ``(frame count, predicates)``."""
+    while True:
+        preds: dict = {}
+        size = 0
+        for f, (_, keys) in enumerate(itertools.islice(frames, width)):
+            size = f + 1
+            for group in keys:
+                for key in group:
+                    preds[key] = preds.get(key, 0) | 1 << f
+        if not size:
+            return
+        yield size, preds
 
 
 def _family_frames(make, choices: list, n: int) -> Iterator:
@@ -215,8 +273,7 @@ def _ik2_frames(bounds: SearchBounds, n: int, leq, upsets) -> Iterator:
                (keys["N"][relN], keys["E"][relE]))
 
 
-_FRAMES = {"inm": _inm_frames, "classical": _classical_frames,
-           "cnm": _cnm_frames, "ik2": _ik2_frames}
+_FRAMES = {"classical": _classical_frames, "cnm": _cnm_frames, "ik2": _ik2_frames}
 
 
 def _filters(kind: str, bounds: SearchBounds) -> list:
@@ -228,7 +285,9 @@ def _filters(kind: str, bounds: SearchBounds) -> list:
     and full conditions read every neighbourhood of a frame (r-equivalence,
     propagation along the preorder), so they are here; coherence reads one
     neighbourhood at a time and is checked once per candidate by
-    ``_inm_candidates``."""
+    ``_inm_candidates``.  An unknown kind raises ``ValueError``."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
     checks = models.KINDS[kind].checks
     wanted = [level for level in ("coherent", "cartesian", "full")
               if getattr(bounds, f"require_{level}")]
@@ -331,52 +390,54 @@ def _ifom_model(worlds, leq, interp, val) -> IFOMStructure:
 
 # The models of one kind on one order: their points (labels, by index), the
 # up-set of each point (indices), the valuations in stream order (a tuple of
-# sets per atom), and a function that yields the frames.
-_Space = collections.namedtuple("_Space", "points up valuations frames")
+# sets per atom), a function that yields the frames (functions from a
+# valuation to a model), and one that yields their predicates in batches of
+# at most a given number of frames.
+_Space = collections.namedtuple("_Space", "points up valuations frames batches")
 
 
 def _space(kind: str, bounds: SearchBounds, n: int, leq) -> _Space:
     if kind == "ifom":
-        grid = [(w, x) for w in range(n) for x in range(bounds.max_worlds)]
-        up = [[v * bounds.max_worlds + x for v in range(n) if (w, v) in leq] for w, x in grid]
-        return _Space(grid, up, [()], functools.partial(_ifom_frames, bounds, n, leq))
-    # classical valuations are all subsets, in bitmask order
-    sets = _subsets(range(n)) if kind == "classical" else upsets_of_poset(n, leq)
-    return _Space(list(range(n)), [[v for v in range(n) if (w, v) in leq] for w in range(n)],
-                  list(itertools.product(sets, repeat=bounds.max_atoms)),
-                  functools.partial(_FRAMES[kind], bounds, n, leq, sets))
+        points = [(w, x) for w in range(n) for x in range(bounds.max_worlds)]
+        up = [[v * bounds.max_worlds + x for v in range(n) if (w, v) in leq] for w, x in points]
+        valuations = [()]
+        keyed = functools.partial(_ifom_frames, bounds, n, leq)
+    else:
+        # classical valuations are all subsets, in bitmask order
+        sets = _subsets(range(n)) if kind == "classical" else upsets_of_poset(n, leq)
+        points, up = list(range(n)), [[v for v in range(n) if (w, v) in leq] for w in range(n)]
+        valuations = list(itertools.product(sets, repeat=bounds.max_atoms))
+        if kind == "inm":
+            cands = _inm_candidates(n, leq, sets, bounds.require_coherent)
+            return _Space(points, up, valuations,
+                          functools.partial(_inm_frames, n, leq, cands, bounds.max_nbhds),
+                          functools.partial(_inm_batches, n, cands, bounds.max_nbhds))
+        keyed = functools.partial(_FRAMES[kind], bounds, n, leq, sets)
+    return _Space(points, up, valuations, lambda: (frame for frame, _ in keyed()),
+                  lambda width: _keyed_batches(keyed(), width))
 
 
 def enumerate_models(kind: str, bounds: SearchBounds) -> Iterator:
     """Deterministic, restartable stream of all models of ``kind`` within the
     bounds: by world count, then order, then frame, then valuation."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
     filters = _filters(kind, bounds)
     for n in range(1, bounds.max_worlds + 1):
         for leq in _orders(kind, n):
             space = _space(kind, bounds, n, leq)
-            for frame, _ in space.frames():
+            for frame in space.frames():
                 if all(check(frame({})) for check in filters):
                     for vals in space.valuations:
                         yield frame(dict(enumerate(vals)))
 
 
 # ---------------------------------------------------------------------------
-# Countermodel search
+# Countermodel search and the validity sweep
 # ---------------------------------------------------------------------------
 
-# The most models one batch of find_countermodel holds, unless one frame
-# alone has more valuations.  It bounds a batch's memory and the time between
-# two looks at the deadline.
-_BATCH_MODELS = 1 << 10
-
-
-def _check_dialect(kind: str, consec: Consecution) -> None:
-    dialects = models.KINDS[kind].dialects
-    for f in set(consec.context) | {consec.conclusion}:
-        if not any(in_dialect(f, d) for d in dialects):
-            raise ValueError(f"formula dialect does not match model kind {kind!r}")
+# The most models one batch of the scan holds, unless one frame alone has
+# more valuations.  It bounds a batch's memory and the time between two
+# looks at the deadline.
+_BATCH_MODELS = 1 << 17
 
 
 def _valuation_atoms(valuations: list, frames: int, n: int) -> dict:
@@ -393,106 +454,114 @@ def _valuation_atoms(valuations: list, frames: int, n: int) -> dict:
     return atoms
 
 
-def _scan_batch(kind: str, space: _Space, chunk, filters, atoms_for, context, conclusion):
-    """Evaluate the consecution on every model of a run of frames of one
-    order.  Bit ``v * F + f`` of the batch is frame ``f`` of the ``F`` frames
-    of ``chunk`` under valuation ``v``, so a frame predicate widens to the
-    batch by one multiplication.  Returns the number of frames read, the
-    mask of those that pass the filters, and ``(frame offset, valuation
-    index, point)`` of the first failing model in stream order, or None."""
-    preds: dict = {}
-    live = scanned = 0
-    for f, (frame, keys) in enumerate(chunk):
-        scanned += 1
-        if all(check(frame({})) for check in filters):
-            live |= 1 << f
-            for group in keys:
-                for key in group:
-                    preds[key] = preds.get(key, 0) | 1 << f
-    if not live:
-        return scanned, live, None
+def _repeat(bits: int, width: int, count: int) -> int:
+    """``count`` copies of the ``width``-bit ``bits`` end to end, by doubling,
+    which costs far less than a multiplication by the repunit on long ints."""
+    out = done = 0
+    while count:
+        if count & 1:
+            out |= bits << done
+            done += width
+        bits |= bits << width
+        width *= 2
+        count >>= 1
+    return out
+
+
+def _scan_batch(kind: str, space: _Space, size: int, live: int, preds: dict, atoms: dict):
+    """The batch of ``size`` frames of one order times the order's
+    valuations: bit ``v * size + f`` is frame ``f`` under valuation ``v``, so
+    a frame predicate widens to the batch by repeating it.  ``live``
+    masks the frames that pass the filters.  Returns a function from a
+    context and a conclusion to ``(frame offset, valuation index, point)``
+    of the first failing model in stream order, or None; its calls share
+    the truth values of the formulas they evaluate."""
     n, valuations = len(space.points), len(space.valuations)
-    full = (1 << scanned * valuations) - 1
-    repunit = full // ((1 << scanned) - 1)
-    preds = {key: frames * repunit for key, frames in preds.items()}
-    present = [live * repunit & (full ^ preds.pop(("absent", p), 0)) for p in range(n)]
-    atoms = dict(atoms_for(scanned))  # empty for ifom, whose atoms are keys
+    full = (1 << size * valuations) - 1
+    preds = {key: _repeat(frames, size, valuations) for key, frames in preds.items()}
+    live = _repeat(live, size, valuations)
+    present = [live & (full ^ preds.pop(("absent", p), 0)) for p in range(n)]
+    atoms = dict(atoms)  # empty for ifom, whose atoms are keys
     for key in [key for key in preds if key[0] == "atom"]:
         atoms.setdefault(key[1], [0] * n)[key[2]] |= preds.pop(key)
-
     up = space.up
     modal = models.KINDS[kind].batch(preds, up, full)
     memo: dict = {}
-    good = present
-    for g in context:
-        good = [a & b for a, b in zip(good, _batch_truth_set(up, atoms, full, modal, g, memo))]
-        if not any(good):
-            return scanned, live, None
-    bad = [a & (full ^ b) for a, b in
-           zip(good, _batch_truth_set(up, atoms, full, modal, conclusion, memo))]
-    failing = functools.reduce(operator.or_, bad)
-    if not failing:
-        return scanned, live, None
-    # the least failing frame, then its first failing valuation
-    folded = 0
-    for v in range(valuations):
-        folded |= failing >> v * scanned
-    f = (folded & -folded).bit_length() - 1
-    v = next(v for v in range(valuations) if failing >> (v * scanned + f) & 1)
-    bit = v * scanned + f
-    return scanned, live, (f, v, min((space.points[p] for p in range(n) if bad[p] >> bit & 1),
-                                     key=str))
+
+    def first_failure(context, conclusion):
+        good = present
+        for g in context:
+            good = [a & b for a, b in zip(good, _batch_truth_set(up, atoms, full, modal, g, memo))]
+            if not any(good):
+                return None
+        bad = [a & (full ^ b) for a, b in
+               zip(good, _batch_truth_set(up, atoms, full, modal, conclusion, memo))]
+        failing = functools.reduce(operator.or_, bad)
+        if not failing:
+            return None
+        # the least failing frame, then its first failing valuation
+        folded = 0
+        for v in range(valuations):
+            folded |= failing >> v * size
+        f = (folded & -folded).bit_length() - 1
+        v = next(v for v in range(valuations) if failing >> (v * size + f) & 1)
+        bit = v * size + f
+        return f, v, min((space.points[p] for p in range(n) if bad[p] >> bit & 1), key=str)
+
+    return first_failure
 
 
-def find_countermodel(consec: Consecution, kind: str, bounds: SearchBounds,
-                      timeout_ms: Optional[int] = None, workers: int = 1):
-    """The first model of ``enumerate_models`` with a point where the whole
-    context holds and the conclusion fails, and the least such point by label;
-    ``NoneWithinBounds`` otherwise.  ``timeout_ms`` must not be negative; the
-    deadline is looked at between batches.
+def _scan(kind: str, bounds: SearchBounds, consecs: Sequence[Consecution],
+          deadline: Optional[float] = None):
+    """The first model of ``enumerate_models`` for each consecution with a
+    point where its whole context holds and its conclusion fails, and the
+    least such point by label, as ``(model, point, index)``, or None.
+    Returns those, the number of models examined, and whether the deadline
+    (a ``time.monotonic`` value) passed before the stream ended.
 
     The models of one order are evaluated in batches of at most
-    ``_BATCH_MODELS`` (see ``_scan_batch``).  A hit is rebuilt by walking the
-    order's frames again to it, and re-checked with the kind's single-model
-    evaluator.  The search runs in this process.  ``workers`` accepts only 1;
-    it is kept for callers that still pass it and goes once the benchmark
-    drops it."""
-    if workers != 1:
-        raise ValueError(f"the search runs in one process; workers={workers!r}")
-    if timeout_ms is not None and timeout_ms < 0:
-        raise ValueError(f"the timeout must not be negative, got {timeout_ms} ms")
-    _check_dialect(kind, consec)
-    start = time.monotonic()
-    deadline = None if timeout_ms is None else start + timeout_ms / 1000.0
-    context = sorted(consec.context, key=str)
+    ``_BATCH_MODELS`` (see ``_scan_batch``), each consecution until its
+    first hit.  The filters read the order's frames alongside the batches.
+    A hit is rebuilt by walking the order's frames again to it, and
+    re-checked with the kind's single-model evaluator."""
     filters = _filters(kind, bounds)
+    for f in {f for c in consecs for f in c.context | {c.conclusion}}:
+        if not any(in_dialect(f, d) for d in models.KINDS[kind].dialects):
+            raise ValueError(f"formula dialect does not match model kind {kind!r}")
+    pending = [(i, sorted(c.context, key=str), c.conclusion) for i, c in enumerate(consecs)]
+    hits: list = [None] * len(consecs)
     examined = 0
     for n in range(1, bounds.max_worlds + 1):
         for leq in _orders(kind, n):
             space = _space(kind, bounds, n, leq)
             valuations = len(space.valuations)
             atoms_for = functools.lru_cache(maxsize=2)(
-                functools.partial(_valuation_atoms, space.valuations, n=n))
-            frames = space.frames()
+                functools.partial(_valuation_atoms, space.valuations, n=len(space.points)))
+            frames = space.frames()  # what the filters read, batch by batch
             first = 0  # the batch's first frame among the order's frames
-            while True:
-                scanned, live, hit = _scan_batch(
-                    kind, space, itertools.islice(frames, max(1, _BATCH_MODELS // valuations)),
-                    filters, atoms_for, context, consec.conclusion)
-                if hit is not None:
-                    f, v, point = hit
-                    index = examined + (live & (1 << f) - 1).bit_count() * valuations + v
-                    frame, _ = next(itertools.islice(space.frames(), first + f, None))
-                    model = frame(dict(enumerate(space.valuations[v])))
-                    _recheck(kind, model, point, context, consec.conclusion, index)
-                    return CounterexampleFound(model, point, index)
-                if not scanned:
-                    break
+            for size, preds in space.batches(max(1, _BATCH_MODELS // valuations)):
+                live = (1 << size) - 1
+                if filters:
+                    live = models._bits(f for f, frame in enumerate(itertools.islice(frames, size))
+                                        if all(check(frame({})) for check in filters))
+                if live:
+                    first_failure = _scan_batch(kind, space, size, live, preds, atoms_for(size))
+                    for i, context, conclusion in pending:
+                        if (hit := first_failure(context, conclusion)) is not None:
+                            f, v, point = hit
+                            index = examined + (live & (1 << f) - 1).bit_count() * valuations + v
+                            frame = next(itertools.islice(space.frames(), first + f, None))
+                            model = frame(dict(enumerate(space.valuations[v])))
+                            _recheck(kind, model, point, context, conclusion, index)
+                            hits[i] = (model, point, index)
+                    pending = [query for query in pending if hits[query[0]] is None]
                 examined += live.bit_count() * valuations
-                first += scanned
+                first += size
+                if not pending:
+                    return hits, examined, False
                 if deadline is not None and time.monotonic() > deadline:
-                    return NoneWithinBounds(examined, time.monotonic() - start, True)
-    return NoneWithinBounds(examined, time.monotonic() - start)
+                    return hits, examined, True
+    return hits, examined, False
 
 
 def _recheck(kind: str, model, point, context, conclusion, index: int) -> None:
@@ -500,6 +569,39 @@ def _recheck(kind: str, model, point, context, conclusion, index: int) -> None:
     if not all(holds(model, point, g) for g in context) or holds(model, point, conclusion):
         raise RuntimeError(f"the {kind} model at stream index {index} does not "
                            f"re-check as a countermodel at {point!r}")
+
+
+def find_countermodel(consec: Consecution, kind: str, bounds: SearchBounds,
+                      timeout_ms: Optional[int] = None, workers: int = 1):
+    """The first model of ``enumerate_models`` with a point where the whole
+    context holds and the conclusion fails, and the least such point by label;
+    ``NoneWithinBounds`` otherwise.  ``timeout_ms`` must not be negative; the
+    deadline is looked at between batches (see ``_scan``).  The search runs
+    in this process.  ``workers`` accepts only 1; it is kept for callers
+    that still pass it and goes once the benchmark drops it."""
+    if workers != 1:
+        raise ValueError(f"the search runs in one process; workers={workers!r}")
+    if timeout_ms is not None and timeout_ms < 0:
+        raise ValueError(f"the timeout must not be negative, got {timeout_ms} ms")
+    start = time.monotonic()
+    deadline = None if timeout_ms is None else start + timeout_ms / 1000.0
+    [hit], examined, timed_out = _scan(kind, bounds, [consec], deadline)
+    if hit is not None:
+        return CounterexampleFound(*hit)
+    return NoneWithinBounds(examined, time.monotonic() - start, timed_out)
+
+
+def sweep_inm_validity(formulas: Sequence[Formula], bounds: SearchBounds):
+    """For each formula, ``find_countermodel``'s hit for it over the
+    intuitionistic neighbourhood models within the bounds, as ``(model,
+    world)``: ``None`` when the formula holds at every world of every model,
+    else the first model of the stream with a failing world and the least
+    such world, re-checked with the single-model evaluator.
+
+    The formulas are consecutions with an empty context in one ``_scan``:
+    each batch evaluates those without a hit yet, sharing subformulas."""
+    hits, _, _ = _scan("inm", bounds, [Consecution(frozenset(), phi) for phi in formulas])
+    return [None if hit is None else hit[:2] for hit in hits]
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +709,13 @@ def random_ifom(rng, max_worlds: int = 4, max_states: int = 3,
 
 def random_formula(rng, max_depth: int, atom_count: int = 2,
                    dialect: str = "modal", max_nodes: int = 24) -> Formula:
-    """Random formula whose modal depth (modalities and implications) stays
-    within ``max_depth``; a node budget keeps trees finite."""
-    modal_ops = {"modal": [Box, Dia], "nabla": [Nabla]}.get(dialect, [Box, Dia])
+    """Random formula of the ``modal`` or ``nabla`` dialect whose modal depth
+    (modalities and implications) stays within ``max_depth``; a node budget
+    keeps trees finite."""
+    modal_ops = {"modal": [Box, Dia], "nabla": [Nabla]}.get(dialect)
+    if modal_ops is None:
+        raise ValueError(f"random formulas are drawn in the modal or nabla dialect, "
+                         f"not {dialect!r}")
     remaining = [max_nodes]
 
     def go(budget: int) -> Formula:
@@ -632,118 +738,3 @@ def random_formula(rng, max_depth: int, atom_count: int = 2,
 
     return go(max_depth)
 
-
-# ---------------------------------------------------------------------------
-# Bit-sliced exhaustive validity sweep (intuitionistic neighbourhood models)
-# ---------------------------------------------------------------------------
-
-def sweep_inm_validity(formulas: Sequence[Formula], bounds: SearchBounds):
-    """For each formula, ``find_countermodel``'s hit for it over the
-    intuitionistic neighbourhood models within the bounds: ``None`` when the
-    formula holds at every world of every model, else the first model of the
-    stream with a failing world and the least such world, re-checked with
-    ``eval_inm``.
-
-    This is the batch kernel's many-formula case.  The frames on one order
-    form a batch, in stream order: every ``k``-combination of the candidate
-    neighbourhoods, for ``k`` from 0 to ``max_nbhds``, one bit per frame; it
-    is evaluated once per valuation with ``models.batch_inm``, on predicates
-    spread from the candidates to the combinations by ``_slot_vector``.  With
-    ``require_coherent`` the candidates are the coherent ones, so every frame
-    of the batch is coherent; the Cartesian filter runs once per frame and
-    masks the batch.  The hit on an order is its least failing frame, with
-    the first valuation on which that frame fails.
-    """
-    results: list = [None] * len(formulas)
-    pending = set(range(len(formulas)))
-    filters = _filters("inm", bounds)
-    for n in range(1, bounds.max_worlds + 1):
-        for leq in _orders("inm", n):
-            if not pending:
-                return results
-            _sweep_order(formulas, bounds, filters, n, leq, results, pending)
-    return results
-
-
-def _concat(parts: list) -> int:
-    """The ``(value, width)`` parts laid end to end, the first lowest; joined
-    in pairs, so that each bit is shifted about log2(len(parts)) times."""
-    while len(parts) > 1:
-        pairs = [(a | b << width, width + more)
-                 for (a, width), (b, more) in zip(parts[::2], parts[1::2])]
-        parts = pairs + parts[2 * len(pairs):]
-    return parts[0][0] if parts else 0
-
-
-def _slot_vector(pred: int, count: int, max_k: int, slot: int) -> int:
-    """Spread a bit vector over ``count`` candidates to the batch of their
-    combinations of 0 to ``max_k`` candidates, by size and then in
-    ``itertools.combinations`` order: bit ``b`` of the result is the bit of
-    the ``slot``-th candidate of the ``b``-th combination, and 0 where that
-    combination has no ``slot``-th candidate."""
-    def parts(lo: int, k: int, slot: int) -> list:
-        # the k-combinations of the candidates from lo on: those that start
-        # with candidate i are i followed by each (k-1)-combination of the
-        # candidates after it
-        if k == 1:
-            return [(pred >> lo & (1 << count - lo) - 1, count - lo)]
-        heads = range(lo, count - k + 1)
-        if slot == 0:
-            widths = [math.comb(count - i - 1, k - 1) for i in heads]
-            return [((1 << width) - 1 if pred >> i & 1 else 0, width)
-                    for i, width in zip(heads, widths)]
-        return [part for i in heads for part in parts(i + 1, k - 1, slot - 1)]
-
-    return _concat([part for k in range(max_k + 1)
-                    for part in (parts(0, k, slot) if k > slot
-                                 else [(0, math.comb(count, k))])])
-
-
-def _sweep_order(formulas, bounds, filters, n, leq, results, pending):
-    space = _space("inm", bounds, n, leq)
-    # the candidates of the frames of space, whose combinations the bits number
-    cands = _inm_candidates(n, leq, upsets_of_poset(n, leq), bounds.require_coherent)
-    full = (1 << sum(math.comb(len(cands), k) for k in range(bounds.max_nbhds + 1))) - 1
-    live = full if not filters else models._bits(
-        f for f, (frame, _) in enumerate(space.frames())
-        if all(check(frame({})) for check in filters))
-    if not live:
-        return
-
-    # per-candidate predicates: v in the domain, u in the value at v
-    dom = [0] * n
-    val = [[0] * n for _ in range(n)]
-    for c, (dom_t, values) in enumerate(cands):
-        for v, value in zip(dom_t, values):
-            dom[v] |= 1 << c
-            for u in value:
-                val[v][u] |= 1 << c
-    facts = [((v,), dom[v]) for v in range(n)]
-    facts += [((v, u), val[v][u]) for v in range(n) for u in range(n)]
-    preds = {}
-    for s in range(bounds.max_nbhds):
-        for key, pred in facts:
-            if pred:
-                preds[(s, *key)] = _slot_vector(pred, len(cands), bounds.max_nbhds, s)
-    modal = models.batch_inm(preds, space.up, full)
-
-    hits: dict = {}  # formula -> (least failing frame, first valuation, world)
-    for vals in space.valuations:
-        atoms = {i: [full if w in ext else 0 for w in range(n)] for i, ext in enumerate(vals)}
-        memo: dict = {}
-        for fi in sorted(pending):
-            t = _batch_truth_set(space.up, atoms, full, modal, formulas[fi], memo)
-            failing = live & (full ^ functools.reduce(operator.and_, t))
-            if not failing:
-                continue
-            b = (failing & -failing).bit_length() - 1
-            if fi not in hits or b < hits[fi][0]:
-                world = min((w for w in range(n) if not t[w] >> b & 1), key=str)
-                hits[fi] = (b, vals, world)
-    for fi, (b, vals, world) in hits.items():
-        frame, _ = next(itertools.islice(space.frames(), b, None))
-        model = frame(dict(enumerate(vals)))
-        if eval_inm(model, world, formulas[fi]):
-            raise RuntimeError(f"sweep witness for {formulas[fi]} does not re-check")
-        results[fi] = (model, world)
-        pending.discard(fi)

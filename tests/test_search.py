@@ -13,7 +13,7 @@ import time
 import pytest
 
 import imodal
-from imodal import docio
+from imodal import docio, search
 from imodal.models import (KINDS, INModel, _truth_set, check_full, check_ik2_frame,
                            check_inm, eval_cnm, eval_inm, validate_cnm, validate_inm)
 from imodal.folm import FOMStructure, eval_modal_ifom, validate_ifom
@@ -23,7 +23,7 @@ from imodal.search import (CounterexampleFound, NoneWithinBounds, SearchBounds,
                            random_formula, random_ifom, random_inm,
                            sweep_inm_validity, upsets_of_poset, _ifom_frames,
                            _ifom_model, _image_keys, _inm_candidates, _orders,
-                           _slot_vector, _supersets, _union_below)
+                           _space, _supersets, _union_below)
 from imodal.syntax import (FALSUM, Atom, Box, Dia, Implies, consecution, parse,
                            substitute, translate_bimodal)
 
@@ -112,6 +112,10 @@ class TestEnumeration:
         bounds = SearchBounds(1, 0, 0, **{f"require_{flag}": True})
         with pytest.raises(ValueError, match=f"require_{flag} does not apply to {kind}"):
             next(enumerate_models(kind, bounds))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown model kind 'bogus'"):
+            next(enumerate_models("bogus", SearchBounds(1, 0, 0)))
 
     def test_cnm_models_are_valid(self):
         count = 0
@@ -308,6 +312,10 @@ class TestFindCountermodel:
         bounds = SearchBounds(1, 0, 1, **{f"require_{flag}": True})
         with pytest.raises(ValueError, match=f"require_{flag} does not apply to {kind}"):
             find_countermodel(consecution([], parse("p0")), kind, bounds)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown model kind 'bogus'"):
+            find_countermodel(consecution([], parse("p0")), "bogus", SearchBounds(1, 0, 1))
 
     def test_negative_timeout_rejected(self):
         with pytest.raises(ValueError):
@@ -520,6 +528,12 @@ class TestRandomGenerators:
         for _ in range(200):
             assert modal_depth(random_formula(rng, 3, 2)) <= 3
 
+    @pytest.mark.parametrize("dialect", ["bimodal", "bogus"])
+    def test_formula_dialect_rejected(self, rng, dialect):
+        # bimodal formulas come from translating modal draws
+        with pytest.raises(ValueError, match=f"modal or nabla dialect, not {dialect!r}"):
+            random_formula(rng, 3, 2, dialect)
+
 
 def _sweep_batch(atom_count: int) -> list:
     """Seeded random formulas of modal depth up to three, instances of
@@ -590,17 +604,12 @@ class TestSweep:
         assert model.nbhds == {}
         assert not eval_inm(model, world, parse("<>F -> F"))
 
-    def test_slot_vectors_follow_combinations(self):
-        # bit b of a slot vector is the bit of the slot-th candidate of the
-        # b-th combination of 0 to max_k candidates, or 0 if it has fewer
-        pred = 0b1011001101
-        for max_k in range(5):
-            batch = [c for k in range(max_k + 1) for c in itertools.combinations(range(10), k)]
-            for slot in range(max_k):
-                vector = _slot_vector(pred, 10, max_k, slot)
-                assert vector >> len(batch) == 0
-                assert all((vector >> b & 1) == (len(c) > slot and pred >> c[slot] & 1)
-                           for b, c in enumerate(batch))
+    def test_dialect_mismatch_fails_before_enumeration(self, monkeypatch):
+        def no_orders(kind, n):
+            raise AssertionError("enumeration started")
+        monkeypatch.setattr(search, "_orders", no_orders)
+        with pytest.raises(ValueError, match="formula dialect does not match model kind 'inm'"):
+            sweep_inm_validity([parse("p0"), parse("[N]p0", "bimodal")], SearchBounds(1, 1, 1))
 
     def test_three_neighbourhoods(self):
         # no limit on the neighbourhood count: at (1, 3, 1) too the sweep
@@ -615,6 +624,89 @@ class TestSweep:
                              "print([m in sys.modules for m in "
                              "('numpy', 'concurrent.futures', 'multiprocessing')])")
         assert loaded == "[False, False, False]"
+
+
+def _frame_facts(model: INModel) -> set:
+    """The ``batch_inm`` keys of a model's neighbourhoods, slot ``s`` being
+    the neighbourhood ``as``."""
+    return {fact for name, a in model.nbhds.items()
+            for s in [int(name[1:])]
+            for fact in [(s, w) for w in a] + [(s, w, u) for w, value in a.items() for u in value]}
+
+
+def _batch_keys(batches, width: int):
+    """Per frame of batches of at most ``width`` frames, the keys whose
+    predicate has its bit."""
+    for size, preds in batches:
+        assert 0 < size <= width
+        keys = [set() for _ in range(size)]
+        for key, bits in preds.items():
+            assert 0 < bits < 1 << size
+            for f, bit in enumerate(reversed(bin(bits)[2:])):
+                if bit == "1":
+                    keys[f].add(key)
+        yield from keys
+
+
+class TestRuns:
+    @pytest.mark.parametrize("coherent", [False, True])
+    def test_run_predicates_are_the_facts_of_the_frames(self, coherent):
+        # every order of 1 to 3 worlds with up to two neighbourhoods, in
+        # batches that split runs (7 frames) and that join them; a 3-world
+        # order has up to 266,086 frames with two neighbourhoods, so only
+        # the first 3,000 of each order are compared there, while (3, 1)
+        # and (2, 2) are compared whole, down to the short runs at the end
+        compared = 0
+        for bounds in [SearchBounds(3, 1, 0, require_coherent=coherent),
+                       SearchBounds(2, 2, 0, require_coherent=coherent),
+                       SearchBounds(3, 2, 0, require_coherent=coherent)]:
+            for width in (7, 1 << 12):
+                for n in range(1, bounds.max_worlds + 1):
+                    for leq in _orders("inm", n):
+                        space = _space("inm", bounds, n, leq)
+                        pairs = itertools.zip_longest(space.frames(),
+                                                      _batch_keys(space.batches(width), width))
+                        for frame, keys in itertools.islice(pairs, 3000):
+                            assert _frame_facts(frame({})) == keys
+                            compared += 1
+        assert compared == (53432 if not coherent else 47872)
+
+
+# The bounds of the batch-boundary property: without a filter, and with
+# each inm filter, which reads the frames alongside the batches.
+BOUNDARY_CASES = [
+    SearchBounds(2, 2, 1),
+    SearchBounds(3, 1, 1, require_coherent=True),
+    SearchBounds(2, 1, 1, require_cartesian=True),
+]
+
+
+class TestBatchBoundaries:
+    @pytest.mark.parametrize("bounds", BOUNDARY_CASES, ids=str)
+    def test_tiny_batches_give_the_same_results(self, bounds, monkeypatch):
+        # the last three are refuted deep in the stream, at index 8,863,
+        # 131 and 118 with (3, 1, 1) coherent
+        formulas = _sweep_batch(1)[::5] + [parse(t) for t in (
+            "~p0 | ~~p0", "~~<>p0 -> <>p0", "~~[]p0 -> []p0")]
+        consecs = [consecution([], phi) for phi in formulas]
+        consecs += [consecution([parse("[]p0")], parse("<>p0")),
+                    consecution([parse("<>p0")], parse("~~<>p0"))]
+        def results():
+            out = []
+            for consec in consecs:
+                r = find_countermodel(consec, "inm", bounds)
+                out.append((r.model, r.world, r.index) if isinstance(r, CounterexampleFound)
+                           else (r.examined, r.timed_out))
+            return out, sweep_inm_validity(formulas, bounds)
+        default = results()
+        # at most 8 models a batch: runs split, a batch holds one to four
+        # frames, and the deep hits land in later batches of their orders
+        monkeypatch.setattr(search, "_BATCH_MODELS", 8)
+        assert results() == default
+        found, sweep = default
+        assert any(len(r) == 3 and r[2] > 8 for r in found)
+        assert any(len(r) == 2 for r in found)
+        assert any(v is None for v in sweep) and any(v is not None for v in sweep)
 
 
 class TestClassicalSanity:
