@@ -456,8 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coherent", action="store_true")
     p.add_argument("--cartesian", action="store_true")
     p.add_argument("--full", action="store_true")
-    p.add_argument("--timeout-ms", type=int, default=None, help="default: none; ifom "
-                   "at the default bounds runs for minutes without one")
+    p.add_argument("--timeout-ms", type=int, default=None, help="default: none")
     p.add_argument("--out", default=None, help="write a found countermodel here")
     p.set_defaults(func=_cmd_search)
 

@@ -6,37 +6,29 @@ count, then order, then frame, then valuation.  Worlds are labelled
 ``0..n-1``, and partial orders are those whose strict pairs point up the
 integer order (every finite poset has such a labelling, so the searched space
 is exhaustive up to isomorphism).  Valuations range over the upsets of the
-order (partial or pre-).  The filters of the bounds read only the frame.
-Coherence reads one neighbourhood at a time, so it is checked once per
-candidate neighbourhood on each order, and only coherent candidates make
-frames.  The Cartesian and full filters read every neighbourhood of a frame
-(r-equivalence, propagation along the preorder), so they run once per frame.
+order (partial or pre-).  The filters of the bounds read only the frame:
+coherence, which reads one neighbourhood at a time, is checked once per
+candidate neighbourhood, and the Cartesian and full filters once per frame.
 
-``find_countermodel`` and ``sweep_inm_validity`` share one scan, in one
-process, which returns each of a list of consecutions' first hit in stream
-order.  It evaluates the stream in bit-sliced batches.  A batch is a run of
-the frames of one order times all of the order's valuations, one bit per
-model: with ``F`` frames, model ``(f, v)`` is bit ``v * F + f``.  A truth
-value is one Python int per point.  The facts of a frame (a
-neighbourhood's value at a world, a relation pair, ...) are keys, and each
-key has an ``F``-bit int of the batch's frames that have it, which is
-repeated once per valuation to widen it to the batch; the kind's batch
-clause in ``models.KINDS`` reads them.  The inm frames are the
-combinations of the candidate neighbourhoods, which come in runs that
-differ only in their last candidate, so their ints are built per run; the
-frames of the other kinds name their keys one by one.  The lowest failing
-frame, found by folding the valuation blocks with OR, then its first
-failing valuation, is the stream's first hit, so its ``index`` is the
-model's position in the stream.  A batch holds at most ``_BATCH_MODELS``
-models (or one frame's valuations, if more), and the deadline is looked at
-between batches.  A hit model is rebuilt by walking the order's frames
-again, and re-checked with the kind's single-model evaluator.  An ifom
-structure has no valuation: its points are a grid of (world, state) pairs
-with a key for each pair it lacks, and its atoms are keys too.
-
-The validity sweep is the scan's many-formula case: each formula is a
-consecution with an empty context, the formulas share each batch's
-evaluation, and each one leaves the scan at its first hit.
+``find_countermodel`` and ``sweep_inm_validity`` share one scan, which
+returns each of a list of consecutions' first hit in stream order.  It
+evaluates one order's frames times all of its valuations in bit-sliced
+batches, model ``(f, v)`` of ``F`` frames at bit ``v * F + f``; a truth
+value is one Python int per point.  A fact of a frame (a neighbourhood's
+value at a world, a relation pair, ...) is a key with an ``F``-bit int of
+the frames that have it, repeated once per valuation, which the kind's batch
+clause in ``models.KINDS`` reads.  These ints are built from columns over
+runs of frames, never frame by frame: classical, cnm and ik2 frames are
+products of per-slot choices, inm frames are combinations of candidate
+neighbourhoods, which come in runs that share all but the last, and ifom
+frames fix every world but the last.  The lowest failing frame, then its
+first failing valuation, is the first hit, so its ``index`` is the model's
+position in the stream.  A batch holds at most ``_BATCH_MODELS`` models (or
+one frame's valuations, if more), and the deadline is looked at between
+batches.  A hit model is rebuilt by walking the order's frames again, and
+re-checked with the kind's single-model evaluator.  An ifom structure has no
+valuation: its points are a grid of (world, state) pairs with a key for each
+pair it lacks, and its atoms are keys too.
 """
 
 from __future__ import annotations
@@ -44,6 +36,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 import operator
 import time
 from dataclasses import dataclass
@@ -122,13 +115,70 @@ def _subsets(items: Sequence) -> list:
             for m in range(1 << len(items))]
 
 
-# Each frame generator but inm's takes the bounds, the world count, the
-# order and the sets that atoms range over, and yields the frames on that
-# order in stream order.  A frame is a pair: a function from a valuation to
-# a model, and the keys of the facts of the frame that the kind's batch
-# clause reads (see ``models.batch_<kind>``), over the indices of the
-# points, in groups that the generator builds once and shares between
-# frames.  The inm frames name no keys: see ``_inm_batches``.
+# ``_SPACES[kind](bounds, n, order, sets)``, given the sets that atoms range
+# over, returns two functions of no argument: one yields the frames on the
+# order (functions from a valuation to a model), which define the stream,
+# and one their runs, ``(lo, hi, fixed, columns)``: frames ``lo..hi-1`` of a
+# sequence, the keys that hold at all of them, and ``(key, column)`` pairs, a
+# column having the bit of each frame with the key.  The keys are the facts
+# that the kind's batch clause reads (``models.batch_<kind>``).
+
+def _columns(masks: list, facts: int) -> list:
+    """Per fact of the ``facts``-bit masks of a list of choices, the column
+    with the bit of each choice that has it, read off the masks' binary
+    strings in linear time; OR-ing one bit per choice is quadratic."""
+    rows = [format(mask, f"0{facts}b") for mask in masks]
+    return [int("".join(bits)[::-1], 2) for bits in zip(*rows)][::-1]
+
+
+def _key_columns(groups: list) -> list:
+    """The ``(key, column)`` pairs of a list of choices, each a group of
+    distinct keys: bit ``c`` of a key's column says that choice ``c`` has it."""
+    index: dict = {}
+    masks = [models._bits(index.setdefault(key, len(index)) for key in group)
+             for group in groups]
+    return list(zip(index, _columns(masks, len(index))))
+
+
+def _product(slots: list) -> tuple:
+    """The run of the frames that take one choice per slot, the last slot
+    varying fastest; a slot is a list of choices, each a group of distinct
+    keys.  A key's column over its slot spreads by a Kronecker product: each
+    bit becomes a block of the later slots' combinations, repeated once per
+    combination of the earlier slots."""
+    frames = math.prod(map(len, slots))
+    inner, outer, columns = frames, 1, []
+    for groups in slots:
+        inner //= len(groups)
+        for key, column in _key_columns(groups):
+            spread = int("".join(bit * inner for bit in format(column, "b")), 2)
+            columns.append((key, _repeat(spread, len(groups) * inner, outer)))
+        outer *= len(groups)
+    return 0, frames, (), columns
+
+
+def _run_batches(runs: Iterator, width: int) -> Iterator:
+    """The predicates of the frames of ``runs``, in batches of at most
+    ``width`` frames, as ``(frame count, predicates)``.  Over a run, a fixed
+    key is all ones and a column is shifted down to the run's first frame; a
+    run longer than what is left of a batch is split, and runs are joined."""
+    preds, size = {}, 0
+    for lo, hi, fixed, columns in runs:
+        while lo < hi:
+            if size == width:
+                yield size, preds
+                preds, size = {}, 0
+            run = min(hi - lo, width - size)
+            ones = (1 << run) - 1
+            for key in fixed:
+                preds[key] = preds.get(key, 0) | ones << size
+            for key, column in columns:
+                if column := column >> lo & ones:
+                    preds[key] = preds.get(key, 0) | column << size
+            size += run
+            lo += run
+    yield size, preds
+
 
 def _inm_candidates(n: int, leq, upsets, require_coherent: bool) -> list:
     """Every neighbourhood on the order ``leq``: an upset domain with a value
@@ -163,117 +213,75 @@ def _inm_candidates(n: int, leq, upsets, require_coherent: bool) -> list:
     return [(dom, values) for dom, values in cands if coherent(dom, values)]
 
 
-def _inm_frames(n: int, leq, cands: list, max_nbhds: int) -> Iterator:
-    """The frames on the order ``leq``, as functions from a valuation to a
-    model: the combinations of at most ``max_nbhds`` of the candidates, by
-    size, in ``itertools.combinations`` order."""
+def _inm_space(bounds: SearchBounds, n: int, leq, upsets) -> tuple:
+    """The combinations of at most ``max_nbhds`` of the candidates, by size,
+    in ``itertools.combinations`` order, with the keys ``(s, w)``: ``w`` is in
+    the domain of the neighbourhood in slot ``s``, and ``(s, w, u)``: ``u`` is
+    in its value at ``w``.  A run is a prefix of ``k - 1`` candidates, whose
+    keys hold over the run, then each candidate ``lo..C-1`` after it."""
+    cands = _inm_candidates(n, leq, upsets, bounds.require_coherent)
     worlds = frozenset(range(n))
-    for k in range(max_nbhds + 1):
-        for combo in itertools.combinations(cands, k):
-            yield functools.partial(INModel, worlds, leq, {f"a{i}": dict(zip(*cand))
-                                                           for i, cand in enumerate(combo)})
+
+    def frames():
+        for k in range(bounds.max_nbhds + 1):
+            for combo in itertools.combinations(cands, k):
+                yield functools.partial(INModel, worlds, leq, {
+                    f"a{i}": dict(zip(*cand)) for i, cand in enumerate(combo)})
+
+    def runs():
+        facts = n + n * n  # w: w is in the domain; n + w * n + u: u is in the value at w
+        keys = [[(s, w) for w in range(n)] + [(s, w, u) for w in range(n) for u in range(n)]
+                for s in range(bounds.max_nbhds)]
+        masks = [sum(1 << w | models._bits(value) << n + w * n for w, value in zip(dom, values))
+                 for dom, values in cands]
+        columns = _columns(masks, facts)
+        yield 0, 1, (), ()  # the empty combination, which has no facts
+        for k in range(1, bounds.max_nbhds + 1):
+            last = [(key, column) for key, column in zip(keys[k - 1], columns) if column]
+            for prefix in itertools.combinations(range(len(cands)), k - 1):
+                fixed = [keys[s][i] for s, c in enumerate(prefix)
+                         for i in range(facts) if masks[c] >> i & 1]
+                yield prefix[-1] + 1 if prefix else 0, len(cands), fixed, last
+
+    return frames, runs
 
 
-def _inm_batches(n: int, cands: list, max_nbhds: int, width: int) -> Iterator:
-    """The predicates of the frames of ``_inm_frames``, in batches of at most
-    ``width`` frames, as ``(frame count, predicates)``; the key ``(s, w)``
-    says that ``w`` is in the domain of the neighbourhood in slot ``s``, and
-    ``(s, w, u)`` that ``u`` is in its value at ``w``.
-
-    The combinations of ``k`` candidates come in runs: a prefix of ``k - 1``
-    candidates, then each candidate ``lo..C-1`` after the prefix in the last
-    slot.  Over a run, a fact of a prefix slot is all ones or zero, and a
-    fact of the last slot is its column over the candidates shifted down by
-    ``lo``.  A run longer than what is left of a batch is split."""
-    # fact w: w is in the domain; fact n + w * n + u: u is in the value at
-    # w.  The columns are read off the binary strings of the candidates'
-    # fact masks, in linear time (a 4-world order has 83,521 candidates).
-    facts = n + n * n
-    keys = [[(s, w) for w in range(n)] + [(s, w, u) for w in range(n) for u in range(n)]
-            for s in range(max_nbhds)]
-    masks = [sum(1 << w | models._bits(value) << n + w * n for w, value in zip(dom, values))
-             for dom, values in cands]
-    rows = [format(mask, f"0{facts}b") for mask in masks]
-    columns = [int("".join(bits)[::-1], 2) for bits in zip(*rows)][::-1]
-    count = len(cands)
-    preds: dict = {}
-    size = 1  # the empty combination comes first, and has no facts
-    for k in range(1, max_nbhds + 1):
-        last = [(key, column) for key, column in zip(keys[k - 1], columns) if column]
-        for prefix in itertools.combinations(range(count), k - 1):
-            fixed = [keys[s][i] for s, c in enumerate(prefix)
-                     for i in range(facts) if masks[c] >> i & 1]
-            lo = prefix[-1] + 1 if prefix else 0
-            while lo < count:
-                if size == width:
-                    yield size, preds
-                    preds, size = {}, 0
-                run = min(count - lo, width - size)
-                ones = (1 << run) - 1
-                for key in fixed:
-                    preds[key] = preds.get(key, 0) | ones << size
-                for key, column in last:
-                    if column := column >> lo & ones:
-                        preds[key] = preds.get(key, 0) | column << size
-                size += run
-                lo += run
-    yield size, preds
+def _family_space(make, pools: list, n: int) -> tuple:
+    """The frames that give each world one family of a pool's choices, pool
+    by pool, each pool a run; the key ``(w, s)`` says that the set ``s`` is
+    in the family of ``w``."""
+    return (lambda: (functools.partial(make, dict(enumerate(picks))) for choices in pools
+                     for picks in itertools.product(choices, repeat=n)),
+            lambda: (_product([[[(w, tuple(sorted(a))) for a in fam] for fam in choices]
+                               for w in range(n)]) for choices in pools))
 
 
-def _keyed_batches(frames: Iterator, width: int) -> Iterator:
-    """The predicates of frames that name their keys, in batches of at most
-    ``width`` frames, as ``(frame count, predicates)``."""
-    while True:
-        preds: dict = {}
-        size = 0
-        for f, (_, keys) in enumerate(itertools.islice(frames, width)):
-            size = f + 1
-            for group in keys:
-                for key in group:
-                    preds[key] = preds.get(key, 0) | 1 << f
-        if not size:
-            return
-        yield size, preds
+def _classical_space(bounds: SearchBounds, n: int, leq, subsets) -> tuple:
+    return _family_space(functools.partial(NbhdModel, frozenset(range(n))), [
+        [frozenset(sel) for r in range(k + 1) for sel in itertools.combinations(pool, r)]
+        for k in range(bounds.max_nbhds + 1) for pool in itertools.combinations(subsets, k)], n)
 
 
-def _family_frames(make, choices: list, n: int) -> Iterator:
-    """The frames that give each world one family of ``choices``, with the
-    keys ``(w, s)`` for each set ``s`` of the family of ``w``."""
-    keys = [[tuple((w, tuple(sorted(a))) for a in fam) for fam in choices] for w in range(n)]
-    for picks in itertools.product(range(len(choices)), repeat=n):
-        yield (functools.partial(make, dict(enumerate(choices[c] for c in picks))),
-               [keys[w][c] for w, c in enumerate(picks)])
+def _cnm_space(bounds: SearchBounds, n: int, rel, upsets) -> tuple:
+    return _family_space(functools.partial(CNModel, frozenset(range(n)), rel), [
+        [frozenset(sel) for r in range(bounds.max_nbhds + 1)
+         for sel in itertools.combinations(_subsets(range(n)), r)]], n)
 
 
-def _classical_frames(bounds: SearchBounds, n: int, leq, subsets) -> Iterator:
-    make = functools.partial(NbhdModel, frozenset(range(n)))
-    for k in range(bounds.max_nbhds + 1):
-        for pool in itertools.combinations(subsets, k):
-            choices = [frozenset(sel) for r in range(k + 1)
-                       for sel in itertools.combinations(pool, r)]
-            yield from _family_frames(make, choices, n)
-
-
-def _cnm_frames(bounds: SearchBounds, n: int, rel, upsets) -> Iterator:
-    per_world = [frozenset(sel) for r in range(bounds.max_nbhds + 1)
-                 for sel in itertools.combinations(_subsets(range(n)), r)]
-    yield from _family_frames(functools.partial(CNModel, frozenset(range(n)), rel),
-                              per_world, n)
-
-
-def _ik2_frames(bounds: SearchBounds, n: int, leq, upsets) -> Iterator:
+@functools.lru_cache(maxsize=16)
+def _ik2_relations(n: int, leq: frozenset) -> tuple:
+    """The relations on 0..n-1 that pass the ik2 frame conditions over ``leq``,
+    which constrain N and E separately: the frames are the pairs of these."""
     worlds = frozenset(range(n))
-    # the frame conditions constrain N and E separately, so the pairs
-    # that pass are the products of the relations that pass alone
-    rels = [r for r in _subsets([(i, j) for i in range(n) for j in range(n)])
-            if check_ik2_frame(IK2Model(worlds, leq, r, frozenset(), {})).ok]
-    keys = {j: [tuple((j, a, b) for a, b in r) for r in rels] for j in "NE"}
-    for relN, relE in itertools.product(range(len(rels)), repeat=2):
-        yield (functools.partial(IK2Model, worlds, leq, rels[relN], rels[relE]),
-               (keys["N"][relN], keys["E"][relE]))
+    return tuple(r for r in _subsets([(i, j) for i in range(n) for j in range(n)])
+                 if check_ik2_frame(IK2Model(worlds, leq, r, frozenset(), {})).ok)
 
 
-_FRAMES = {"classical": _classical_frames, "cnm": _cnm_frames, "ik2": _ik2_frames}
+def _ik2_space(bounds: SearchBounds, n: int, leq, upsets) -> tuple:
+    worlds, rels = frozenset(range(n)), _ik2_relations(n, leq)
+    return ((lambda: (functools.partial(IK2Model, worlds, leq, relN, relE)
+                      for relN, relE in itertools.product(rels, repeat=2))),
+            lambda: [_product([[[(j, *pair) for pair in r] for r in rels] for j in "NE"])])
 
 
 def _filters(kind: str, bounds: SearchBounds) -> list:
@@ -316,71 +324,67 @@ def _union_below(interp: dict, leq, w: int, atoms: int) -> FOMStructure:
          for i in range(atoms)})
 
 
-def _image_keys(at: int, states, nbhds, relN, relE) -> tuple:
-    """The ``batch_inm`` keys of the pairs of one world in the ``bullet``
-    image, whose pair with state ``x`` is the point ``at + x``."""
-    keys = []
-    for a in sorted(nbhds):
-        for x in sorted(states):
-            if (x, a) in relN:
-                keys.append((a, at + x))
-                keys.extend((a, at + x, at + y) for y in sorted(states) if (a, y) in relE)
-    return tuple(keys)
-
-
-def _ifom_frames(bounds: SearchBounds, n: int, leq) -> Iterator:
+def _ifom_space(bounds: SearchBounds, n: int, leq, sets) -> tuple:
     """The growing structures on the order ``leq``: each world's structure
-    contains the union of those below it.  A structure has no valuation; its
-    points are those of a grid of (world, state) pairs, the pair ``(w, x)``
-    at index ``w * max_worlds + x``, and its keys are those of its ``bullet``
-    image, ``("absent", p)`` for the grid points that are not its points and
-    ``("atom", i, p)`` for the points where atom ``i`` holds.
+    contains the union of those below it, so the structures of the worlds
+    before the last fix the last one's options, which make a run.  A
+    structure has no valuation; its points are a grid of (world, state)
+    pairs, the pair ``(w, x)`` at index ``w * max_worlds + x``, and its keys
+    are those of its ``bullet`` image, ``("absent", p)`` for the grid points
+    that are not its points and ``("atom", i, p)`` for the points where atom
+    ``i`` holds.  A world's options depend only on its base, the union of the
+    structures below it, so they are built once per base and reused while
+    the base stays the same; only the latest base of each world is kept."""
+    pool, atoms, worlds = range(bounds.max_worlds), range(bounds.max_atoms), frozenset(range(n))
 
-    A world's options depend only on its base, the union of the structures
-    below it, so they are built once per base and reused while the base
-    stays the same: on the antichain every world has the empty base.  Only
-    the latest base of each world is kept, which bounds the memory."""
-    state_pool = tuple(range(bounds.max_worlds))
-    nbhd_pool = tuple(range(bounds.max_nbhds))
-    atoms = range(bounds.max_atoms)
-    worlds = frozenset(range(n))
-
-    def options(w: int, base: FOMStructure) -> list:
-        """World ``w``'s structures over ``base``, each with its keys."""
-        at = w * len(state_pool)
-        out = []
-        for states in _supersets(base.states, state_pool):
+    def options(w: int, base: FOMStructure) -> tuple:
+        """World ``w``'s structures over ``base``, and the keys of each."""
+        at = w * bounds.max_worlds
+        structures, groups = [], []
+        for states in _supersets(base.states, pool):
             if not states:
                 continue
-            absent = tuple(("absent", at + x) for x in state_pool if x not in states)
-            for nbhds in _supersets(base.nbhds, nbhd_pool):
+            absent = tuple(("absent", at + x) for x in pool if x not in states)
+            for nbhds in _supersets(base.nbhds, range(bounds.max_nbhds)):
                 rn_pool = [(x, a) for x in sorted(states) for a in sorted(nbhds)]
                 re_pool = [(a, x) for a in sorted(nbhds) for x in sorted(states)]
                 for relN in _supersets(base.relN, rn_pool):
                     for relE in _supersets(base.relE, re_pool):
-                        image = absent + _image_keys(at, states, nbhds, relN, relE)
+                        image = absent + tuple((a, at + x) for x, a in relN) + tuple(
+                            (a, at + x, at + y) for x, a in relN for b, y in relE if b == a)
                         for pred_sets in itertools.product(
                                 *(_supersets(base.preds[i], sorted(states)) for i in atoms)):
-                            out.append((FOMStructure(states, nbhds, relN, relE,
-                                                     dict(zip(atoms, pred_sets))),
-                                        image + tuple(("atom", i, at + x) for i in atoms
-                                                      for x in sorted(pred_sets[i]))))
-        return out
+                            structures.append(FOMStructure(states, nbhds, relN, relE,
+                                                           dict(zip(atoms, pred_sets))))
+                            groups.append(image + tuple(("atom", i, at + x) for i in atoms
+                                                        for x in sorted(pred_sets[i])))
+        return structures, groups
 
-    latest: list = [(None, [])] * n  # per world: its latest base and options
+    def runs():
+        # per run, the structures of the worlds before the last (a dict that
+        # the next run changes), the last one's options and the run
+        latest: list = [(None,)] * n  # per world: its latest base, options, keys
 
-    def go(w: int, interp: dict, keys: tuple):
-        if w == n:
-            yield functools.partial(_ifom_model, worlds, leq, dict(interp)), keys
-            return
-        base = _union_below(interp, leq, w, bounds.max_atoms)
-        if latest[w][0] != base:
-            latest[w] = (base, options(w, base))
-        for structure, group in latest[w][1]:
-            interp[w] = structure
-            yield from go(w + 1, interp, keys + (group,))
+        def go(w: int, interp: dict, fixed: tuple):
+            base = _union_below(interp, leq, w, bounds.max_atoms)
+            if latest[w][0] != base:
+                structures, groups = options(w, base)
+                latest[w] = (base, structures, groups if w < n - 1 else _key_columns(groups))
+            _, structures, keys = latest[w]
+            if w == n - 1:
+                yield interp, structures, (0, len(structures), fixed, keys)
+                return
+            for structure, group in zip(structures, keys):
+                interp[w] = structure
+                yield from go(w + 1, interp, fixed + group)
+        return go(0, {}, ())
 
-    yield from go(0, {}, ())
+    def frames():
+        for interp, structures, _ in runs():
+            for structure in structures:
+                yield functools.partial(_ifom_model, worlds, leq, {**interp, n - 1: structure})
+
+    return frames, lambda: (run for _, _, run in runs())
 
 
 def _ifom_model(worlds, leq, interp, val) -> IFOMStructure:
@@ -388,11 +392,13 @@ def _ifom_model(worlds, leq, interp, val) -> IFOMStructure:
     return IFOMStructure(worlds, leq, interp)
 
 
+_SPACES = {"inm": _inm_space, "classical": _classical_space, "cnm": _cnm_space,
+           "ik2": _ik2_space, "ifom": _ifom_space}
+
 # The models of one kind on one order: their points (labels, by index), the
 # up-set of each point (indices), the valuations in stream order (a tuple of
-# sets per atom), a function that yields the frames (functions from a
-# valuation to a model), and one that yields their predicates in batches of
-# at most a given number of frames.
+# sets per atom), a function that yields the frames, and one that yields
+# their predicates in batches of at most a given number of frames.
 _Space = collections.namedtuple("_Space", "points up valuations frames batches")
 
 
@@ -400,21 +406,14 @@ def _space(kind: str, bounds: SearchBounds, n: int, leq) -> _Space:
     if kind == "ifom":
         points = [(w, x) for w in range(n) for x in range(bounds.max_worlds)]
         up = [[v * bounds.max_worlds + x for v in range(n) if (w, v) in leq] for w, x in points]
-        valuations = [()]
-        keyed = functools.partial(_ifom_frames, bounds, n, leq)
+        sets, valuations = None, [()]
     else:
         # classical valuations are all subsets, in bitmask order
         sets = _subsets(range(n)) if kind == "classical" else upsets_of_poset(n, leq)
         points, up = list(range(n)), [[v for v in range(n) if (w, v) in leq] for w in range(n)]
         valuations = list(itertools.product(sets, repeat=bounds.max_atoms))
-        if kind == "inm":
-            cands = _inm_candidates(n, leq, sets, bounds.require_coherent)
-            return _Space(points, up, valuations,
-                          functools.partial(_inm_frames, n, leq, cands, bounds.max_nbhds),
-                          functools.partial(_inm_batches, n, cands, bounds.max_nbhds))
-        keyed = functools.partial(_FRAMES[kind], bounds, n, leq, sets)
-    return _Space(points, up, valuations, lambda: (frame for frame, _ in keyed()),
-                  lambda width: _keyed_batches(keyed(), width))
+    frames, runs = _SPACES[kind](bounds, n, leq, sets)
+    return _Space(points, up, valuations, frames, lambda width: _run_batches(runs(), width))
 
 
 def enumerate_models(kind: str, bounds: SearchBounds) -> Iterator:
@@ -462,9 +461,9 @@ def _repeat(bits: int, width: int, count: int) -> int:
         if count & 1:
             out |= bits << done
             done += width
-        bits |= bits << width
-        width *= 2
-        count >>= 1
+        if count := count >> 1:  # no doubling after the last copy
+            bits |= bits << width
+            width *= 2
     return out
 
 

@@ -21,9 +21,9 @@ from imodal.search import (CounterexampleFound, NoneWithinBounds, SearchBounds,
                            enumerate_models, find_countermodel,
                            random_cnm, random_coherent_inm,
                            random_formula, random_ifom, random_inm,
-                           sweep_inm_validity, upsets_of_poset, _ifom_frames,
-                           _ifom_model, _image_keys, _inm_candidates, _orders,
-                           _space, _supersets, _union_below)
+                           sweep_inm_validity, upsets_of_poset, _ifom_model,
+                           _inm_candidates, _orders, _repeat, _space, _supersets,
+                           _union_below)
 from imodal.syntax import (FALSUM, Atom, Box, Dia, Implies, consecution, parse,
                            substitute, translate_bimodal)
 
@@ -197,20 +197,35 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("bounds", [(2, 1, 1), (3, 0, 0), (1, 2, 2)])
     def test_ifom_frames_match_the_reference(self, bounds):
+        # the structures, and the keys that the batches give each of them
         bounds = SearchBounds(*bounds)
         for n in range(1, bounds.max_worlds + 1):
             for leq in _orders("ifom", n):
-                for (frame, keys), (reference, reference_keys) in zip(
-                        _ifom_frames(bounds, n, leq), _ifom_reference_frames(bounds, n, leq),
-                        strict=True):
+                space = _space("ifom", bounds, n, leq)
+                for frame, keys, (reference, reference_keys) in zip(
+                        space.frames(), _batch_keys(space.batches(1 << 12), 1 << 12),
+                        _ifom_reference_frames(bounds, n, leq), strict=True):
                     assert docio.model_to_doc(frame({})) == docio.model_to_doc(reference({}))
-                    assert collections.Counter(itertools.chain.from_iterable(keys)) \
+                    assert collections.Counter(keys) \
                         == collections.Counter(itertools.chain.from_iterable(reference_keys))
 
 
+def _reference_image_keys(at: int, states, nbhds, relN, relE) -> tuple:
+    """The ``batch_inm`` keys of the pairs of one world in the ``bullet``
+    image, whose pair with state ``x`` is the point ``at + x``."""
+    keys = []
+    for a in sorted(nbhds):
+        for x in sorted(states):
+            if (x, a) in relN:
+                keys.append((a, at + x))
+                keys.extend((a, at + x, at + y) for y in sorted(states) if (a, y) in relE)
+    return tuple(keys)
+
+
 def _ifom_reference_frames(bounds: SearchBounds, n: int, leq):
-    """The reference for ``_ifom_frames``: the same structures and keys,
-    built by a recursion that rebuilds a world's options at each visit."""
+    """The reference for the ifom space: the structures of its frames and the
+    keys of its batches, built by a recursion that rebuilds a world's options
+    at each visit."""
     state_pool = tuple(range(bounds.max_worlds))
     nbhd_pool = tuple(range(bounds.max_nbhds))
     atoms = range(bounds.max_atoms)
@@ -231,7 +246,7 @@ def _ifom_reference_frames(bounds: SearchBounds, n: int, leq):
                 re_pool = [(a, x) for a in sorted(nbhds) for x in sorted(states)]
                 for relN in _supersets(base.relN, rn_pool):
                     for relE in _supersets(base.relE, re_pool):
-                        image = absent + _image_keys(at, states, nbhds, relN, relE)
+                        image = absent + _reference_image_keys(at, states, nbhds, relN, relE)
                         for pred_sets in itertools.product(
                                 *(_supersets(base.preds[i], sorted(states)) for i in atoms)):
                             interp[w] = FOMStructure(
@@ -425,6 +440,14 @@ def _random_consecution(rng, kind, atoms):
     return consecution([draw(2) for _ in range(rng.randrange(3))], draw(3))
 
 
+def _read_consecution(kind: str, context: list, conclusion: str):
+    """A consecution from the texts of its formulas, in ``kind``'s dialects."""
+    def read(text):
+        return parse(text, "bimodal" if kind == "ik2" else
+                     "nabla" if "nabla" in text else "modal")
+    return consecution(map(read, context), read(conclusion))
+
+
 class TestBatchAgainstStream:
     @pytest.mark.parametrize("kind", sorted(PROPERTY_BOUNDS))
     def test_find_countermodel_matches_the_stream(self, kind):
@@ -434,10 +457,7 @@ class TestBatchAgainstStream:
         cases = [(bounds, _random_consecution(rng, kind, bounds.max_atoms))
                  for bounds in PROPERTY_BOUNDS[kind]
                  for _ in range(8 if bounds.max_worlds == 2 else 3)]
-        def read(text):
-            return parse(text, "bimodal" if kind == "ik2" else
-                         "nabla" if "nabla" in text else "modal")
-        cases += [(bounds, consecution(map(read, context), read(conclusion)))
+        cases += [(bounds, _read_consecution(kind, context, conclusion))
                   for case_kind, bounds, context, conclusion in CHOSEN_CASES
                   if case_kind == kind]
         outcomes = set()
@@ -634,6 +654,32 @@ def _frame_facts(model: INModel) -> set:
             for fact in [(s, w) for w in a] + [(s, w, u) for w, value in a.items() for u in value]}
 
 
+def _ifom_facts(structure, max_worlds: int) -> set:
+    """The keys of an ifom structure: the ``batch_inm`` keys of its
+    ``bullet`` image, the grid points it lacks and where its atoms hold, the
+    pair of world ``w`` and state ``x`` being point ``w * max_worlds + x``."""
+    facts = set()
+    for w, m in structure.interp.items():
+        at = w * max_worlds
+        facts |= {("absent", at + x) for x in range(max_worlds) if x not in m.states}
+        facts |= {(a, at + x) for x, a in m.relN}
+        facts |= {(a, at + x, at + y) for x, a in m.relN for b, y in m.relE if b == a}
+        facts |= {("atom", i, at + x) for i, ext in m.preds.items() for x in ext}
+    return facts
+
+
+# Per kind, the keys of its batch clause that a frame's model has.
+MODEL_FACTS = {
+    "classical": lambda m, bounds: {(w, tuple(sorted(s))) for w, fam in m.nf.items()
+                                    for s in fam},
+    "cnm": lambda m, bounds: {(w, tuple(sorted(s))) for w, fam in m.gamma.items()
+                              for s in fam},
+    "ik2": lambda m, bounds: {(j, y, z) for j, rel in (("N", m.relN), ("E", m.relE))
+                              for y, z in rel},
+    "ifom": lambda m, bounds: _ifom_facts(m, bounds.max_worlds),
+}
+
+
 def _batch_keys(batches, width: int):
     """Per frame of batches of at most ``width`` frames, the keys whose
     predicate has its bit."""
@@ -671,6 +717,42 @@ class TestRuns:
                             compared += 1
         assert compared == (53432 if not coherent else 47872)
 
+    @pytest.mark.parametrize("kind, bounds, limit, count", [
+        ("classical", (2, 2, 0), None, 122),
+        ("classical", (3, 2, 0), None, 1979),
+        ("cnm", (2, 2, 0), None, 488),
+        ("cnm", (3, 1, 0), None, 21244),
+        ("ik2", (2, 0, 0), None, 341),
+        ("ik2", (3, 0, 0), 3000, 21341),
+        ("ifom", (2, 1, 1), None, 9434),
+        ("ifom", (1, 2, 1), None, 50),
+    ], ids=str)
+    def test_product_and_run_predicates_are_the_facts_of_the_frames(self, kind, bounds,
+                                                                     limit, count):
+        bounds = SearchBounds(*bounds)
+        # every order, in batches that split a product or run (7 frames) and
+        # that join them; the 3-world ik2 orders have up to 262,144 frames,
+        # so only the first 3,000 of each order are compared there, and the
+        # other bounds are compared whole
+        for width in (7, 1 << 12):
+            compared = 0
+            for n in range(1, bounds.max_worlds + 1):
+                for leq in _orders(kind, n):
+                    space = _space(kind, bounds, n, leq)
+                    pairs = itertools.zip_longest(space.frames(),
+                                                  _batch_keys(space.batches(width), width))
+                    for frame, keys in itertools.islice(pairs, limit):
+                        assert MODEL_FACTS[kind](frame({}), bounds) == keys
+                        compared += 1
+            assert compared == count
+
+
+def test_repeat_is_the_product_with_the_repunit():
+    for count in range(71):
+        for bits, width in [(0, 3), (1, 1), (0b101, 3), (0b1011, 6), ((1 << 70) - 3, 70)]:
+            repunit = sum(1 << k * width for k in range(count))
+            assert _repeat(bits, width, count) == bits * repunit
+
 
 # The bounds of the batch-boundary property: without a filter, and with
 # each inm filter, which reads the frames alongside the batches.
@@ -679,6 +761,28 @@ BOUNDARY_CASES = [
     SearchBounds(3, 1, 1, require_coherent=True),
     SearchBounds(2, 1, 1, require_cartesian=True),
 ]
+
+
+# Per kind but inm, the bounds and consecutions of the batch-boundary
+# property: hits in later batches of their orders, and exhausted searches.
+# The cnm bounds have the full filter, which reads the frames alongside the
+# batches; the classical ones have 64 valuations, so that at 8 models a
+# batch every batch is one frame.
+KIND_BOUNDARY_CASES = {
+    "classical": (SearchBounds(3, 1, 2), [([], "[]p0 -> p0"),  # index 8
+                                          ([], "[]p0 -> [](p0 & p1) | []p1"),
+                                          ([], "[](p0 & p1) -> []p0"),
+                                          (["<>p0"], "[]p1 -> p1")]),
+    "cnm": (SearchBounds(2, 2, 1, require_full=True), [([], "~~<>p0 -> <>p0"),  # index 530
+                                                       ([], "~p0 | ~~p0"),
+                                                       (["nabla T"], "nabla p0 | nabla ~p0")]),
+    "ik2": (SearchBounds(2, 0, 1), [([], "[E]p0 | <E>~p0"),  # index 1035
+                                    (["<N>p0"], "~~[N]p0 -> [N]p0"),
+                                    ([], "~p0 | ~~p0")]),
+    "ifom": (SearchBounds(2, 1, 1), [([], "p0 | ~p0"),  # index 7833
+                                     (["<>p0"], "~~<>p0 -> <>p0"),
+                                     ([], "~p0 | ~~p0")]),
+}
 
 
 class TestBatchBoundaries:
@@ -707,6 +811,48 @@ class TestBatchBoundaries:
         assert any(len(r) == 3 and r[2] > 8 for r in found)
         assert any(len(r) == 2 for r in found)
         assert any(v is None for v in sweep) and any(v is not None for v in sweep)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_BOUNDARY_CASES))
+    def test_tiny_batches_give_the_same_hits(self, kind, monkeypatch):
+        bounds, cases = KIND_BOUNDARY_CASES[kind]
+        consecs = [_read_consecution(kind, context, conclusion)
+                   for context, conclusion in cases]
+        def results():
+            out = []
+            for consec in consecs:
+                r = find_countermodel(consec, kind, bounds)
+                out.append((r.model, r.world, r.index) if isinstance(r, CounterexampleFound)
+                           else (r.examined, r.timed_out))
+            return out
+        default = results()
+        monkeypatch.setattr(search, "_BATCH_MODELS", 8)
+        assert results() == default
+        assert any(len(r) == 3 and r[2] > 8 for r in default)
+        assert any(len(r) == 2 for r in default)
+
+
+class TestLargeSearches:
+    """Exhaustive searches at the CLI's default bounds, and a hit deep in
+    the ifom stream: their model counts and hit index pin the stream."""
+
+    def test_cnm_monotone_box_is_exhausted(self):
+        result = find_countermodel(consecution([], parse("[](p0 & p1) -> []p0")), "cnm",
+                                   SearchBounds(3, 2, 1))
+        assert isinstance(result, NoneWithinBounds) and not result.timed_out
+        assert result.examined == 6_586_350
+
+    def test_ik2_translated_box_is_exhausted(self):
+        phi = translate_bimodal(parse("[](p0 & p0) -> []p0"))
+        result = find_countermodel(consecution([], phi), "ik2", SearchBounds(3, 0, 1))
+        assert isinstance(result, NoneWithinBounds) and not result.timed_out
+        assert result.examined == 2_989_565
+
+    def test_ifom_excluded_middle_is_refuted_deep_in_the_stream(self):
+        result = find_countermodel(consecution([], parse("p0 | ~p0")), "ifom",
+                                   SearchBounds(2, 2, 1))
+        assert isinstance(result, CounterexampleFound)
+        assert result.index == 1_578_793
+        assert not eval_modal_ifom(result.model, *result.world, parse("p0 | ~p0"))
 
 
 class TestClassicalSanity:
