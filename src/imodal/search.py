@@ -7,8 +7,9 @@ count, then order, then frame, then valuation.  Worlds are labelled
 integer order (every finite poset has such a labelling, so the searched space
 is exhaustive up to isomorphism).  Valuations range over the upsets of the
 order (partial or pre-).  The filters of the bounds read only the frame:
-coherence, which reads one neighbourhood at a time, is checked once per
-candidate neighbourhood, and the Cartesian and full filters once per frame.
+coherence, which reads one neighbourhood at a time, is checked on all of an
+order's candidate neighbourhoods at once, bitwise over their columns, and the
+Cartesian and full filters once per frame.
 
 ``find_countermodel`` and ``sweep_inm_validity`` share one scan, which
 returns each of a list of consecutions' first hit in stream order.  It
@@ -20,15 +21,17 @@ the frames that have it, repeated once per valuation, which the kind's batch
 clause in ``models.KINDS`` reads.  These ints are built from columns over
 runs of frames, never frame by frame: classical, cnm and ik2 frames are
 products of per-slot choices, inm frames are combinations of candidate
-neighbourhoods, which come in runs that share all but the last, and ifom
-frames fix every world but the last.  The lowest failing frame, then its
-first failing valuation, is the first hit, so its ``index`` is the model's
-position in the stream.  A batch holds at most ``_BATCH_MODELS`` models (or
-one frame's valuations, if more), and the deadline is looked at between
-batches.  A hit model is rebuilt by walking the order's frames again, and
-re-checked with the kind's single-model evaluator.  An ifom structure has no
-valuation: its points are a grid of (world, state) pairs with a key for each
-pair it lacks, and its atoms are keys too.
+neighbourhoods, which come in runs that share all but the last and whose
+columns follow from the candidates' mixed-radix numbering, no candidate
+being built, and ifom frames fix every world but the last.  The lowest
+failing frame, then its first failing valuation, is the first hit, so its
+``index`` is the model's position in the stream.  A batch holds at most
+``_BATCH_MODELS`` models (or one frame's valuations, if more), and the
+deadline is looked at between batches.  A hit model is rebuilt by walking
+the order's frames again, and re-checked with the kind's single-model
+evaluator.  An ifom structure has no valuation: its points are a grid of
+(world, state) pairs with a key for each pair it lacks, and its atoms are
+keys too.
 """
 
 from __future__ import annotations
@@ -180,37 +183,66 @@ def _run_batches(runs: Iterator, width: int) -> Iterator:
     yield size, preds
 
 
-def _inm_candidates(n: int, leq, upsets, require_coherent: bool) -> list:
-    """Every neighbourhood on the order ``leq``: an upset domain with a value
-    at each of its worlds.  With ``require_coherent``, only the coherent ones:
+# '0' and '1' as the bytes 0 and 1, selectors for ``itertools.compress``
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _inm_columns(n: int, leq, upsets, require_coherent: bool) -> tuple:
+    """Every neighbourhood on the order ``leq`` (an upset domain with a value
+    at each of its worlds) as columns, never one candidate at a time.  Domain
+    by domain in ``upsets`` order, a domain ``dom`` of ``d`` worlds has
+    ``2^(n*d)`` candidates, candidate ``i`` having the value mask at
+    ``dom[j]`` in digit ``j`` (base ``2^n``, most significant first), so the
+    fact that ``u`` is in the value at ``dom[j]`` is bit ``n*(d-1-j)+u`` of
+    ``i``: its column is a repeated block of zeros then ones, and the fact
+    that ``w`` is in the domain is all ones, each offset by the candidates of
+    the earlier domains.  Returns the number of candidates kept, a function
+    that lists them as ``(sorted domain, values)`` for a walk over the
+    frames, and their columns, per fact of ``_inm_space``.
+
+    With ``require_coherent``, only the coherent candidates are kept:
     conditions N1 and N2 each read one neighbourhood, so a frame is coherent
     exactly when each of its neighbourhoods is, and the combinations of the
-    coherent candidates are the coherent frames, in stream order."""
+    coherent candidates are the coherent frames, in stream order.  Both are
+    checked on all candidates at once, bitwise over the columns."""
     subsets = _subsets(range(n))
-    cands = [(dom, values) for dom in map(sorted, upsets)
-             for values in itertools.product(subsets, repeat=len(dom))]
-    if not require_coherent:
-        return cands
-    # as bitmasks over the worlds: the successors of each world, the worlds
-    # with a successor in each set, and the successors of the members of it
-    up = [models._bits(v for v in range(n) if (w, v) in leq) for w in range(n)]
-    down = [models._bits(v for v in range(n) if up[v] & b) for b in range(1 << n)]
-    ups = [functools.reduce(operator.or_, (up[v] for v in s), 0) for s in subsets]
+    doms = [sorted(dom) for dom in upsets]
+    indom, val, total = [0] * n, [[0] * n for _ in range(n)], 0
+    for dom in doms:
+        size = 1 << n * len(dom)
+        for j, w in enumerate(dom):
+            indom[w] |= ((1 << size) - 1) << total
+            for u in range(n):
+                half = 1 << n * (len(dom) - 1 - j) + u  # the bit's place value
+                block = ((1 << half) - 1) << half  # half zeros, then half ones
+                val[w][u] |= _repeat(block, 2 * half, size // half // 2) << total
+        total += size
+    bad = 0  # the candidates that fail N1 or N2
+    for w, x in itertools.product(range(n), repeat=2) if require_coherent else ():
+        if w != x and (w, x) in leq:
+            # N1: u is in the value at w and below nothing in the value at x
+            # (x is in every domain that w is in, domains being upsets)
+            for u in range(n):
+                above = functools.reduce(operator.or_, (val[x][v] for v in range(n)
+                                                        if (u, v) in leq))
+                bad |= val[w][u] & ~above
+        # N2: x is above a member of the value at w and in the value at no
+        # world above w
+        below = functools.reduce(operator.or_, (val[w][u] for u in range(n) if (u, x) in leq))
+        reach = functools.reduce(operator.or_, (val[v][x] for v in range(n) if (w, v) in leq))
+        bad |= below & ~reach
+    columns, keep = indom + [column for row in val for column in row], None
+    if bad:
+        keep = format(((1 << total) - 1) & ~bad, f"0{total}b")[::-1].encode().translate(_BITS)
+        columns = [int("".join(itertools.compress(format(column, f"0{total}b")[::-1], keep))[::-1]
+                       or "0", 2) for column in columns]
 
-    def coherent(dom, values) -> bool:
-        a = {w: models._bits(value) for w, value in zip(dom, values)}
-        for w, value in a.items():
-            reach = 0  # the union of the values at the successors of w
-            for wp, later in a.items():
-                if up[w] >> wp & 1:
-                    if value & ~down[later]:
-                        return False  # N1: a member of a(w) is below none of a(w')
-                    reach |= later
-            if ups[value] & ~reach:
-                return False  # N2: an up-move from a(w) is matched at no w' >= w
-        return True
+    def candidates() -> list:
+        every = ((dom, values) for dom in doms
+                 for values in itertools.product(subsets, repeat=len(dom)))
+        return list(every if keep is None else itertools.compress(every, keep))
 
-    return [(dom, values) for dom, values in cands if coherent(dom, values)]
+    return total if keep is None else keep.count(1), candidates, columns
 
 
 def _inm_space(bounds: SearchBounds, n: int, leq, upsets) -> tuple:
@@ -218,30 +250,33 @@ def _inm_space(bounds: SearchBounds, n: int, leq, upsets) -> tuple:
     in ``itertools.combinations`` order, with the keys ``(s, w)``: ``w`` is in
     the domain of the neighbourhood in slot ``s``, and ``(s, w, u)``: ``u`` is
     in its value at ``w``.  A run is a prefix of ``k - 1`` candidates, whose
-    keys hold over the run, then each candidate ``lo..C-1`` after it."""
-    cands = _inm_candidates(n, leq, upsets, bounds.require_coherent)
+    keys hold over the run, then each candidate ``lo..C-1`` after it.  The
+    candidates are listed only for a walk over the frames, and for the
+    prefixes of two or more neighbourhoods."""
+    count, candidates, columns = _inm_columns(n, leq, upsets, bounds.require_coherent)
     worlds = frozenset(range(n))
 
     def frames():
+        cands = candidates()
         for k in range(bounds.max_nbhds + 1):
             for combo in itertools.combinations(cands, k):
                 yield functools.partial(INModel, worlds, leq, {
                     f"a{i}": dict(zip(*cand)) for i, cand in enumerate(combo)})
 
     def runs():
-        facts = n + n * n  # w: w is in the domain; n + w * n + u: u is in the value at w
         keys = [[(s, w) for w in range(n)] + [(s, w, u) for w in range(n) for u in range(n)]
                 for s in range(bounds.max_nbhds)]
-        masks = [sum(1 << w | models._bits(value) << n + w * n for w, value in zip(dom, values))
-                 for dom, values in cands]
-        columns = _columns(masks, facts)
+        cands = candidates() if bounds.max_nbhds > 1 else []
         yield 0, 1, (), ()  # the empty combination, which has no facts
         for k in range(1, bounds.max_nbhds + 1):
             last = [(key, column) for key, column in zip(keys[k - 1], columns) if column]
-            for prefix in itertools.combinations(range(len(cands)), k - 1):
-                fixed = [keys[s][i] for s, c in enumerate(prefix)
-                         for i in range(facts) if masks[c] >> i & 1]
-                yield prefix[-1] + 1 if prefix else 0, len(cands), fixed, last
+            for prefix in itertools.combinations(range(count), k - 1):
+                fixed = []
+                for s, c in enumerate(prefix):
+                    dom, values = cands[c]
+                    fixed += [(s, w) for w in dom]
+                    fixed += [(s, w, u) for w, value in zip(dom, values) for u in sorted(value)]
+                yield prefix[-1] + 1 if prefix else 0, count, fixed, last
 
     return frames, runs
 
@@ -292,8 +327,8 @@ def _filters(kind: str, bounds: SearchBounds) -> list:
     runs once per frame, on its model with an empty valuation.  The Cartesian
     and full conditions read every neighbourhood of a frame (r-equivalence,
     propagation along the preorder), so they are here; coherence reads one
-    neighbourhood at a time and is checked once per candidate by
-    ``_inm_candidates``.  An unknown kind raises ``ValueError``."""
+    neighbourhood at a time and is checked on the candidates' columns by
+    ``_inm_columns``.  An unknown kind raises ``ValueError``."""
     if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     checks = models.KINDS[kind].checks

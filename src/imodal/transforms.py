@@ -113,16 +113,10 @@ class Path:
 
 
 def path_valid(m: INModel, p: Path) -> bool:
-    for i, label in enumerate(p.labels):
-        w, v = p.worlds[i], p.worlds[i + 1]
-        if label is ORDER_STEP:
-            if (w, v) not in m.leq:
-                return False
-        else:
-            a = m.nbhds.get(label)
-            if a is None or w not in a or v not in a[w]:
-                return False
-    return True
+    """Each step is an order step up ``leq``, or a neighbourhood step from a
+    world of the neighbourhood's domain into its value there."""
+    return all((w, v) in m.leq if label is ORDER_STEP else v in m.nbhds.get(label, {}).get(w, ())
+               for label, w, v in zip(p.labels, p.worlds, p.worlds[1:]))
 
 
 def leq_ur(m: INModel, p: Path, q: Path) -> bool:

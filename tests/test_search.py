@@ -14,7 +14,7 @@ import pytest
 
 import imodal
 from imodal import docio, search
-from imodal.models import (KINDS, INModel, _truth_set, check_full, check_ik2_frame,
+from imodal.models import (KINDS, INModel, _bits, _truth_set, check_full, check_ik2_frame,
                            check_inm, eval_cnm, eval_inm, validate_cnm, validate_inm)
 from imodal.folm import FOMStructure, eval_modal_ifom, validate_ifom
 from imodal.search import (CounterexampleFound, NoneWithinBounds, SearchBounds,
@@ -22,8 +22,8 @@ from imodal.search import (CounterexampleFound, NoneWithinBounds, SearchBounds,
                            random_cnm, random_coherent_inm,
                            random_formula, random_ifom, random_inm,
                            sweep_inm_validity, upsets_of_poset, _ifom_model,
-                           _inm_candidates, _orders, _repeat, _space, _supersets,
-                           _union_below)
+                           _columns, _inm_columns, _orders, _repeat, _space,
+                           _subsets, _supersets, _union_below)
 from imodal.syntax import (FALSUM, Atom, Box, Dia, Implies, consecution, parse,
                            substitute, translate_bimodal)
 
@@ -56,7 +56,7 @@ STREAM_DIGESTS = {
 
 # The same for filtered streams, recorded while the filters still ran on
 # every model.  Since then the Cartesian and full filters run once per frame,
-# and coherence is checked once per candidate neighbourhood on each order.
+# and coherence is checked on the columns of each order's candidates.
 FILTERED_STREAM_DIGESTS = {
     "inm-coherent": ("inm", SearchBounds(3, 1, 1, require_coherent=True), 13124,
                      "96951fb4ee356fea0f357ed117074e4da71554a184e11c237c8dc6af943979e6"),
@@ -77,6 +77,51 @@ FOREIGN_FILTERS = ([("inm", "full"), ("cnm", "coherent"), ("cnm", "cartesian")]
 def _stream_digest(kind: str, bounds: SearchBounds):
     docs = [docio.model_to_doc(m) for m in enumerate_models(kind, bounds)]
     return len(docs), hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+
+# 4-world orders, by their strict pairs, for the checks that cannot afford
+# all 40: the candidates of an order are 70,000 to 84,000
+FOUR_WORLD_ORDERS = {
+    name: frozenset((w, w) for w in range(4)) | frozenset(pairs) for name, pairs in {
+        "antichain": [],
+        "chain": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+        "diamond": [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)],
+        "fork": [(0, 1), (0, 2), (0, 3)],
+        "join": [(0, 3), (1, 3), (2, 3)],
+    }.items()}
+
+
+def _reference_inm_candidates(n: int, leq, upsets, require_coherent: bool) -> list:
+    """The reference for the inm candidates: every neighbourhood on the
+    order ``leq`` as a tuple ``(sorted domain, values)``, domain by domain in
+    ``upsets`` order, the values in the bitmask order of ``_subsets``; with
+    ``require_coherent``, only those that pass N1 and N2, checked one
+    candidate at a time."""
+    subsets = _subsets(range(n))
+    cands = [(dom, values) for dom in map(sorted, upsets)
+             for values in itertools.product(subsets, repeat=len(dom))]
+    if not require_coherent:
+        return cands
+    # as bitmasks over the worlds: the successors of each world, the worlds
+    # with a successor in each set, and the successors of the members of it
+    up = [_bits(v for v in range(n) if (w, v) in leq) for w in range(n)]
+    down = [_bits(v for v in range(n) if up[v] & b) for b in range(1 << n)]
+    ups = [functools.reduce(lambda x, y: x | y, (up[v] for v in s), 0) for s in subsets]
+
+    def coherent(dom, values) -> bool:
+        a = {w: _bits(value) for w, value in zip(dom, values)}
+        for w, value in a.items():
+            reach = 0  # the union of the values at the successors of w
+            for wp, later in a.items():
+                if up[w] >> wp & 1:
+                    if value & ~down[later]:
+                        return False  # N1: a member of a(w) is below none of a(w')
+                    reach |= later
+            if ups[value] & ~reach:
+                return False  # N2: an up-move from a(w) is matched at no w' >= w
+        return True
+
+    return [(dom, values) for dom, values in cands if coherent(dom, values)]
 
 
 class TestEnumeration:
@@ -171,19 +216,37 @@ class TestEnumeration:
                                            frozenset({0, 1, 2})]
 
     def test_coherent_candidates_match_check_inm(self):
-        # the per-candidate coherence check against check_inm on the
-        # one-neighbourhood model of every candidate on every order
+        # the coherent candidates against check_inm on the one-neighbourhood
+        # model of each candidate: every candidate of every order on 1 to 3
+        # worlds, and every 23rd candidate of the 4-world orders, where
+        # check_inm's 0.1 ms a model would take most of a minute for all 373,000
         checked = 0
-        for n in range(1, 4):
-            for leq in _orders("inm", n):
-                upsets = upsets_of_poset(n, leq)
-                every = _inm_candidates(n, leq, upsets, False)
-                checked += len(every)
-                assert _inm_candidates(n, leq, upsets, True) == [
-                    (dom, values) for dom, values in every
-                    if check_inm(INModel(frozenset(range(n)), leq,
-                                         {"a0": dict(zip(dom, values))}, {}), "coherent").ok]
-        assert checked == 4576
+        for n, leq, stride in ([(n, leq, 1) for n in range(1, 4) for leq in _orders("inm", n)]
+                               + [(4, leq, 23) for leq in FOUR_WORLD_ORDERS.values()]):
+            upsets = upsets_of_poset(n, leq)
+            coherent = {(tuple(dom), values)
+                        for dom, values in _inm_columns(n, leq, upsets, True)[1]()}
+            for dom, values in _inm_columns(n, leq, upsets, False)[1]()[::stride]:
+                model = INModel(frozenset(range(n)), leq, {"a0": dict(zip(dom, values))}, {})
+                assert ((tuple(dom), values) in coherent) == check_inm(model, "coherent").ok
+                checked += 1
+        assert checked == 4576 + 16204
+
+    @pytest.mark.parametrize("n, leq", [
+        pytest.param(n, leq, id=f"{n}:" + ",".join(f"{v}<{w}" for v, w in sorted(leq) if v != w))
+        for n in range(1, 4) for leq in _orders("inm", n)] + [
+        pytest.param(4, leq, id=name) for name, leq in FOUR_WORLD_ORDERS.items()])
+    def test_candidate_columns_match_the_reference(self, n, leq):
+        # the kept candidates against those built and checked one at a time,
+        # and the columns against the reference's per-candidate masks
+        upsets = upsets_of_poset(n, leq)
+        for coherent in (False, True):
+            count, candidates, columns = _inm_columns(n, leq, upsets, coherent)
+            reference = _reference_inm_candidates(n, leq, upsets, coherent)
+            assert count == len(reference) and candidates() == reference
+            masks = [sum(1 << w | _bits(value) << n + w * n for w, value in zip(dom, values))
+                     for dom, values in reference]
+            assert columns == _columns(masks, n + n * n)
 
     @pytest.mark.parametrize("bounds", [(2, 2, 1), (3, 1, 1)])
     def test_coherent_stream_is_the_stream_filtered_by_check_inm(self, bounds):
@@ -832,8 +895,9 @@ class TestBatchBoundaries:
 
 
 class TestLargeSearches:
-    """Exhaustive searches at the CLI's default bounds, and a hit deep in
-    the ifom stream: their model counts and hit index pin the stream."""
+    """Exhaustive searches at the CLI's default bounds and at four inm
+    worlds, a hit deep in the ifom stream and hits on a 4-world inm order:
+    their model counts and hit indices pin the stream."""
 
     def test_cnm_monotone_box_is_exhausted(self):
         result = find_countermodel(consecution([], parse("[](p0 & p1) -> []p0")), "cnm",
@@ -846,6 +910,27 @@ class TestLargeSearches:
         result = find_countermodel(consecution([], phi), "ik2", SearchBounds(3, 0, 1))
         assert isinstance(result, NoneWithinBounds) and not result.timed_out
         assert result.examined == 2_989_565
+
+    @pytest.mark.parametrize("coherent, examined", [(False, 27_057_220), (True, 5_002_846)])
+    def test_inm_i_dia_is_exhausted_on_four_worlds(self, coherent, examined):
+        # the counts of bench/reference.py's count_inm(4, 1, 1, coherent)
+        result = find_countermodel(consecution([], parse("([]T -> <>p0) -> <>p0")), "inm",
+                                   SearchBounds(4, 1, 1, require_coherent=coherent))
+        assert isinstance(result, NoneWithinBounds) and not result.timed_out
+        assert result.examined == examined
+
+    @pytest.mark.parametrize("coherent, index", [(False, 52_304), (True, 39_002)])
+    def test_inm_four_way_split_is_refuted_on_four_worlds(self, coherent, index):
+        # a value meeting four pairwise disjoint sets needs four worlds, so
+        # the first hit lies on the first 4-world order, the antichain
+        bounds = SearchBounds(4, 1, 1, require_coherent=coherent)
+        result = find_countermodel(consecution([], parse(
+            "~([]T & <>(p0 & []p0) & <>(p0 & ~[]p0) & <>(~p0 & []p0) & <>(~p0 & ~[]p0))")),
+            "inm", bounds)
+        assert isinstance(result, CounterexampleFound)
+        assert result.index == index and len(result.model.worlds) == 4
+        assert result.model == next(itertools.islice(enumerate_models("inm", bounds),
+                                                     index, None))
 
     def test_ifom_excluded_middle_is_refuted_deep_in_the_stream(self):
         result = find_countermodel(consecution([], parse("p0 | ~p0")), "ifom",
