@@ -15,7 +15,7 @@ _EXPORTS = {  # submodule: the names the package exports from it
     "models": """CheckReport CNModel IK2Model INModel NbhdModel check_full check_ik2_frame
         check_inm eval_classical eval_cnm eval_ik2 eval_inm find_isomorphism""",
     "transforms": """Path TransformError TruncationBudget bullet circle coherent_completion
-        default_budget fullify hat leq_ur star unravel""",
+        fullify hat leq_ur star unravel""",
     "calculi": """CalculusSpec Derivation DerivationError builtin_calculus check_derivation
         compile_proof deduce macro_mon macro_str match_axiom""",
     "search": """CounterexampleFound NoneWithinBounds SearchBounds enumerate_models

@@ -55,25 +55,6 @@ def successors(worlds, rel, w) -> frozenset:
     return frozenset(v for v in worlds if (w, v) in rel)
 
 
-def order_height(worlds, rel) -> int:
-    """Length (in edges) of the longest strict chain."""
-    strict = {(a, b) for (a, b) in rel if a != b}
-    memo = {}
-
-    def depth(w):
-        if w in memo:
-            return memo[w]
-        memo[w] = 0  # cycle guard for preorders; strict parts of orders are acyclic
-        best = 0
-        for (a, b) in strict:
-            if a == w and (b, a) not in strict:
-                best = max(best, 1 + depth(b))
-        memo[w] = best
-        return best
-
-    return max((depth(w) for w in worlds), default=0)
-
-
 class UnionFind:
     def __init__(self, items: Iterable[Hashable]):
         self.parent = {x: x for x in items}

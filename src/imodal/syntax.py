@@ -376,16 +376,6 @@ def substitute(schema: Formula, mapping: Mapping[int, Formula]) -> Formula:
     raise TypeError(f"not a formula: {schema!r}")
 
 
-def atoms(phi: Formula) -> frozenset:
-    if isinstance(phi, Atom):
-        return frozenset([phi.index])
-    if isinstance(phi, Falsum):
-        return frozenset()
-    if isinstance(phi, (And, Or, Implies)):
-        return atoms(phi.left) | atoms(phi.right)
-    return atoms(phi.sub)
-
-
 def modal_depth(phi: Formula) -> int:
     """Maximum nesting of modalities and implications along any branch.
 

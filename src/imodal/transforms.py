@@ -3,19 +3,18 @@
 The two inherently infinite constructions (coherent completion and
 unravelling) are depth-truncated: the completion caps the number of copies of
 maximal worlds, the unravelling caps path length.  Truncated outputs are valid
-models; the lost structure only affects coherence at the frontier, which the
-consumers' stabilization checks account for.
+models, but truncation can change verdicts: ``unravel`` has a known
+counterexample at every budget (see its docstring).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .folm import FOMStructure, IFOMStructure
 from .models import (CNModel, IK2Model, INModel, bullet, check_inm,  # noqa: F401
                      leq_equivalence, r_equivalence)
-from .orders import order_height as _order_height
 from .orders import successors
 
 
@@ -38,18 +37,6 @@ class TruncationBudget:
             raise ValueError("truncation budgets must be at least 1")
 
 
-def order_height(m) -> int:
-    rel = m.leq if hasattr(m, "leq") else m.preceq
-    return _order_height(m.worlds, rel)
-
-
-def default_budget(formula_depth: int, height: int) -> TruncationBudget:
-    """Empirically sufficient defaults at desk scale; callers may override and
-    the acceptance suite asserts stabilization rather than trusting these."""
-    return TruncationBudget(coh_levels=formula_depth + 2,
-                            unravel_len=max(1, 2 * formula_depth * (height + 1)))
-
-
 def _require(m: INModel, level: str, operation: str) -> None:
     report = check_inm(m, level)
     if not report.ok:
@@ -66,14 +53,21 @@ ORDER_STEP = None  # label marking an order step; neighbourhood names otherwise
 @dataclass(frozen=True)
 class Path:
     """Alternating world/step sequence; ``labels[i]`` is ``None`` for an order
-    step and a neighbourhood name for a neighbourhood step."""
+    step and a neighbourhood name for a neighbourhood step.  ``split`` is the
+    number of leading order steps, derived once; ``str``, ``==`` and ``hash``
+    ignore it."""
 
     worlds: tuple
     labels: tuple
+    split: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.worlds) != len(self.labels) + 1:
             raise ValueError("path must have one more world than steps")
+        k = 0
+        while k < len(self.labels) and self.labels[k] is ORDER_STEP:
+            k += 1
+        object.__setattr__(self, "split", k)
 
     @property
     def first(self):
@@ -87,26 +81,17 @@ class Path:
     def length(self) -> int:
         return len(self.labels)
 
-    def _split(self) -> int:
-        k = 0
-        while k < len(self.labels) and self.labels[k] is ORDER_STEP:
-            k += 1
-        return k
-
     @property
     def is_unravelling(self) -> bool:
-        k = self._split()
-        return all(lab is not ORDER_STEP for lab in self.labels[k:])
+        return all(lab is not ORDER_STEP for lab in self.labels[self.split:])
 
     @property
     def order_part(self) -> "Path":
-        k = self._split()
-        return Path(self.worlds[:k + 1], self.labels[:k])
+        return Path(self.worlds[:self.split + 1], self.labels[:self.split])
 
     @property
     def nbhd_part(self) -> "Path":
-        k = self._split()
-        return Path(self.worlds[k:], self.labels[k:])
+        return Path(self.worlds[self.split:], self.labels[self.split:])
 
     def step(self, label, world) -> "Path":
         return Path(self.worlds + (world,), self.labels + (label,))
@@ -120,7 +105,7 @@ def path_valid(m: INModel, p: Path) -> bool:
 
 
 def leq_ur(m: INModel, p: Path, q: Path) -> bool:
-    """The unravelling order.
+    """The unravelling order, read from the two paths' splits.
 
     Requires equal neighbourhood-label sequences, that q's order part extend
     p's, and equal-length order paths between corresponding neighbourhood-part
@@ -130,20 +115,12 @@ def leq_ur(m: INModel, p: Path, q: Path) -> bool:
     """
     if not (p.is_unravelling and q.is_unravelling):
         raise ValueError("the unravelling order compares unravelling paths only")
-    return _leq_ur(m, p, q)
-
-
-def _leq_ur(m: INModel, p: Path, q: Path) -> bool:
-    pn, qn = p.nbhd_part, q.nbhd_part
-    if pn.labels != qn.labels:
+    i, j = p.split, q.split
+    if i > j or p.labels[i:] != q.labels[j:] or q.worlds[:i + 1] != p.worlds[:i + 1]:
         return False
-    po, qo = p.order_part, q.order_part
-    if qo.worlds[:len(po.worlds)] != po.worlds:
-        return False
-    extension = len(qo.worlds) - len(po.worlds)
-    if extension == 0:
-        return pn.worlds == qn.worlds
-    return all((x, y) in m.leq for x, y in zip(pn.worlds, qn.worlds))
+    if i == j:
+        return p.worlds[i:] == q.worlds[j:]
+    return all((x, y) in m.leq for x, y in zip(p.worlds[i:], q.worlds[j:]))
 
 
 def unravel(m: INModel, source, budget: TruncationBudget) -> INModel:
@@ -160,8 +137,13 @@ def unravel(m: INModel, source, budget: TruncationBudget) -> INModel:
     with a total-length cutoff, maximal pure-order paths carry emptied
     neighbourhood values that falsify every diamond all the way down at the
     root, for every budget.  With the per-part cutoff, the emptied values sit
-    at neighbourhood depth equal to the budget and root verdicts of formulas
-    below that depth stabilize.
+    at neighbourhood depth equal to the budget.
+
+    Root verdicts still need not stabilize, because the longest pure-order
+    path keeps its last world's valuation but loses that world's strict
+    successors.  On worlds {0, 1} with 0 <= 1, no neighbourhoods and ``p0``
+    true at 1 only, ``~p0 -> p0 & p0`` holds at 0, but fails at the root for
+    every budget from 1 to 6: the path (0, 0, ..., 0) is maximal there.
     """
     _require(m, "coherent", "unravel")
     if source not in m.worlds:
@@ -176,8 +158,8 @@ def unravel(m: INModel, source, budget: TruncationBudget) -> INModel:
         paths.extend(frontier)
         new = []
         for p in frontier:
-            nbhd_len = p.nbhd_part.length
-            if nbhd_len == 0 and p.order_part.length < limit:
+            nbhd_len = p.length - p.split
+            if nbhd_len == 0 and p.split < limit:
                 for v in world_order:
                     if (p.last, v) in m.leq:
                         new.append(p.step(ORDER_STEP, v))
@@ -192,11 +174,11 @@ def unravel(m: INModel, source, budget: TruncationBudget) -> INModel:
     # group by neighbourhood labels: the unravelling order never crosses groups
     by_labels: dict = {}
     for p in paths:
-        by_labels.setdefault(p.nbhd_part.labels, []).append(p)
+        by_labels.setdefault(p.labels[p.split:], []).append(p)
     succ = {}
     for group in by_labels.values():
         for p in group:
-            succ[p] = frozenset(q for q in group if _leq_ur(m, p, q))
+            succ[p] = frozenset(q for q in group if leq_ur(m, p, q))
     leq = frozenset((p, q) for p in paths for q in succ[p])
 
     nbhds = {}
@@ -208,7 +190,7 @@ def unravel(m: INModel, source, budget: TruncationBudget) -> INModel:
             fn = {}
             for q in succ[p]:
                 fn[q] = frozenset(q.step(name, x) for x in a[q.last]
-                                  if q.nbhd_part.length < limit)
+                                  if q.length - q.split < limit)
             nbhds[(name, p)] = fn
 
     val = {i: frozenset(p for p in paths if p.last in ext)
@@ -238,9 +220,6 @@ def coherent_completion(m: INModel, budget: TruncationBudget) -> INModel:
     def lift(value_set) -> frozenset:
         return frozenset(p for p in worlds if p[0] in value_set)
 
-    def up_closure(subset) -> frozenset:
-        return frozenset(q for q in worlds if any((p, q) in leq for p in subset))
-
     nbhds = {}
     for name in sorted(m.nbhds, key=str):
         a = m.nbhds[name]
@@ -248,8 +227,10 @@ def coherent_completion(m: INModel, budget: TruncationBudget) -> INModel:
             v, _ = base
             if v not in a:
                 continue
-            upper = up_closure(frozenset().union(
-                *(lift(a[u]) for u in a if (v, u) in m.leq)) or frozenset())
+            # every world has a copy 0, so the up-closure of a lifted set is
+            # the lift of the base up-closure of the set
+            upper = lift({y for u in a if (v, u) in m.leq for x in a[u]
+                          for y in m.worlds if (x, y) in m.leq})
             fn = {}
             for p in worlds:
                 if (base, p) not in leq:

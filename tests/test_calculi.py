@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import pytest
 
-from imodal.calculi import (BASE_SCHEMAS, Derivation, DerivationError, I_DIA,
-                            IK2, IM_CALC, NEG_A, ax, builtin_calculus,
-                            check_derivation, compile_proof, deduce,
-                            derive_contradiction_pair, derive_translated_i_dia,
-                            derive_translated_neg_a, el, macro_mon, macro_str,
-                            match_axiom, mon, mp, weaken)
+from imodal.calculi import (BASE_SCHEMAS, CalculusSpec, Derivation,
+                            DerivationError, I_DIA, IK2, IM_CALC, NEG_A, ax,
+                            builtin_calculus, check_derivation, compile_proof,
+                            deduce, derive_contradiction_pair,
+                            derive_translated_i_dia, derive_translated_neg_a,
+                            el, macro_mon, macro_str, match_axiom, mon, mp, nec,
+                            weaken)
 from imodal.search import NoneWithinBounds, SearchBounds, find_countermodel
-from imodal.syntax import (Atom, Implies, consecution, parse, show, substitute,
-                           translate_bimodal)
+from imodal.syntax import (Atom, BiBox, Implies, consecution, parse, show,
+                           substitute, translate_bimodal)
 
 B = lambda s: parse(s, "bimodal")
 
@@ -157,6 +160,62 @@ class TestCheckDerivation:
                   [parse("p1")]))
         check_derivation(wm, d)
         check_derivation(IM_CALC, d)
+
+
+# one valid derivation per rule; each rejection below breaks one of them in
+# one place
+_P0, _ID = parse("p0"), parse("p0 -> p0")
+_CTX = [_P0, parse("p0 -> p1")]
+EL_OK = el(_P0, [_P0])
+AX_OK = ax(IM_CALC, "id", {0: _P0})
+MP_OK = mp(el(_P0, _CTX), el(_CTX[1], _CTX))
+MON_OK = mon("MonBox", IM_CALC, AX_OK)
+NEC_OK = nec("N", ax(IK2, "id", {0: _P0}))
+PAIR = mp(AX_OK, mp(AX_OK, ax(IM_CALC, "and-intro", {0: _ID, 1: _ID})))  # (p0 -> p0) & (p0 -> p0)
+VALID = {"El": (IM_CALC, EL_OK), "Ax": (IM_CALC, AX_OK), "MP": (IM_CALC, MP_OK),
+         "MonBox": (IM_CALC, MON_OK), "NecN": (IK2, NEC_OK), "pair": (IM_CALC, PAIR)}
+
+# case: (calculus, derivation, reason, path of the broken node)
+REJECTIONS = {
+    "outside-calculus": (IM_CALC, nec("N", AX_OK),
+                         "rule NecN is not part of calculus IM_Calc", ()),
+    "unknown-rule": (CalculusSpec("cut", "modal", (), frozenset({"Cut"})),
+                     Derivation("Cut", consecution([], _ID)), "unknown rule Cut", ()),
+    "El-premises": (IM_CALC, replace(EL_OK, premises=(EL_OK,)), "El takes no premises", ()),
+    "El-certificate": (IM_CALC, replace(MP_OK, premises=(
+        replace(MP_OK.premises[0], certificate=_CTX[1]), MP_OK.premises[1])),
+        "El certificate must equal the conclusion formula", (0,)),
+    "Ax-premises": (IM_CALC, replace(AX_OK, premises=(EL_OK,)), "Ax takes no premises", ()),
+    "Ax-certificate": (IM_CALC, replace(MON_OK, premises=(replace(AX_OK, certificate="id"),)),
+                       "Ax certificate must be (schema id, substitution)", (0,)),
+    "MP-arity": (IM_CALC, replace(MP_OK, premises=MP_OK.premises[:1]),
+                 "MP takes exactly two premises", ()),
+    "MP-compose": (IM_CALC, replace(MP_OK, premises=MP_OK.premises[::-1]),
+                   "MP premises do not compose to the conclusion", ()),
+    "Mon-arity": (IM_CALC, replace(MON_OK, premises=()), "MonBox takes exactly one premise", ()),
+    "Mon-implication": (IM_CALC, replace(MON_OK, premises=(PAIR,)),
+                        "MonBox premise must be an implication", ()),
+    "Mon-conclusion": (IM_CALC, replace(MON_OK, conclusion=consecution([], parse("<>p0 -> <>p0"))),
+                       "MonBox conclusion must be []p0 -> []p0", ()),
+    "Nec-arity": (IK2, replace(NEC_OK, premises=()), "NecN takes exactly one premise", ()),
+    "Nec-context": (IK2, replace(NEC_OK, premises=(el(_ID, [_ID]),)),
+                    "NecN premise context must be empty", ()),
+    "Nec-conclusion": (IK2, replace(NEC_OK, conclusion=consecution([], BiBox("E", _ID))),
+                       "NecN conclusion must box the premise", ()),
+}
+
+
+class TestCheckDerivationRejections:
+    @pytest.mark.parametrize("rule", sorted(VALID))
+    def test_unbroken(self, rule):
+        check_derivation(*VALID[rule])
+
+    @pytest.mark.parametrize("case", sorted(REJECTIONS))
+    def test_reason_and_path(self, case):
+        spec, d, reason, path = REJECTIONS[case]
+        with pytest.raises(DerivationError) as err:
+            check_derivation(spec, d)
+        assert (err.value.reason, err.value.path) == (reason, path)
 
 
 class TestDeduce:

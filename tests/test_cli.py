@@ -100,7 +100,11 @@ def test_parse_exit_code_contract(prefix, body, dialect):
     ["proof", "deduce", f"{DATA}/neg_a_translated.json", "--calculus", "IK2"],
     ["check-model", "{array}"],
     ["search", "p0", "--kind", "bogus"],
-], ids=["unknown-world", "parse-error", "deduce-without-phi", "array-document", "unknown-kind"])
+    ["eval", f"{DATA}/ifom_example.json", "w1", "p0"],
+    ["check-model", f"{DATA}/figure1_frame.json", "--level", "full"],
+    ["transform", "bullet", f"{DATA}/figure1_frame.json"],
+], ids=["unknown-world", "parse-error", "deduce-without-phi", "array-document", "unknown-kind",
+        "ifom-point-without-slash", "level-for-another-kind", "transform-wrong-kind"])
 def test_exit_code_contract_in_a_fresh_process(tmp_path, argv):
     # main catches the error classes of the modules it has imported so far;
     # the in-process tests run after every module is loaded, so they cannot
@@ -148,6 +152,15 @@ class TestEvalCommand:
         code, out, err = run(capsys, "eval", "--trace", f"{DATA}/ifom_example.json",
                              point, "<>p0")
         assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
+    def test_json_payload(self, capsys, trace):
+        code, out, _ = run(capsys, "eval", "--json", *trace, f"{DATA}/wm_counterexample.json",
+                           "w", "F -> p0")
+        payload = json.loads(out)
+        assert code == 0 and payload["value"] is True
+        assert sorted(payload) == sorted(["kind", "world", "formula", "value"]
+                                         + ["trace"] * bool(trace))
 
     def test_ik2_document(self, capsys):
         code, out, _ = run(capsys, "eval", f"{DATA}/ik2_counterexample.json", "v",
@@ -383,6 +396,16 @@ class TestCheckModelCommand:
         assert code == 0
         assert json.loads(out)[0]["status"] == "pass"
 
+    def test_classical_document(self, tmp_path, capsys):
+        doc = {"kind": "classical", "worlds": ["w", "v"],
+               "gamma": {"w": [["v"]], "v": [[]]}, "valuation": {"0": ["v"]}}
+        path = tmp_path / "classical.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "check-model", str(path))
+        assert code == 0
+        assert json.loads(out) == [{"check": "classical-basic", "status": "pass",
+                                    "witnesses": []}]
+
     def test_fail_lists_witnesses(self, tmp_path, capsys):
         doc = {"kind": "inm", "worlds": ["w", "v"], "order": [["w", "v"]],
                "neighbourhoods": {"a": {"w": ["w"]}},  # domain is not an upset
@@ -535,6 +558,18 @@ class TestTransformCommand:
         model = docio.read_model(str(out_path))
         assert docio.model_kind(model) == "ik2"
 
+    @pytest.mark.parametrize("argv, worlds", [
+        (["coh"], 3 + 3 * 4),  # v, t and x are maximal: four copies each
+        (["unravel", "--source", "w"], 5 + 10 * 5),  # five paths w^k, ten w^k v^j
+    ], ids=["coh", "unravel"])
+    def test_infinite_constructions_reload(self, capsys, argv, worlds):
+        code, out, _ = run(capsys, "transform", argv[0], f"{DATA}/figure1_frame.json",
+                           *argv[1:])
+        assert code == 0
+        doc = json.loads(out)
+        model = docio.model_from_doc(doc)
+        assert docio.model_kind(model) == "inm" and len(model.worlds) == worlds
+
     def test_hat_empty_neighbourhoods(self, tmp_path, capsys):
         doc = {"kind": "inm", "worlds": ["w"], "order": [],
                "neighbourhoods": {}, "valuation": {}}
@@ -573,6 +608,18 @@ class TestSearchCommand:
         payload = json.loads(out)
         assert payload["status"] == "counterexample"
         assert len(payload["model"]["worlds"]) <= 2
+
+    def test_out_writes_a_model_that_reloads(self, tmp_path, capsys):
+        out_path = tmp_path / "found.json"
+        code, out, _ = run(capsys, "search", "--json", "([]F -> <>T) -> <>T",
+                           "--max-worlds", "2", "--max-nbhds", "2", "--max-atoms", "0",
+                           "--out", str(out_path))
+        assert code == 0
+        model = docio.read_model(str(out_path))
+        assert docio.model_to_doc(model) == json.loads(out)["model"]
+        world = json.loads(out)["world"]
+        code, _, _ = run(capsys, "eval", str(out_path), world, "([]F -> <>T) -> <>T")
+        assert code == 1
 
     def test_none_within_bounds(self, capsys):
         code, out, _ = run(capsys, "search", "--json", "([]T -> <>p0) -> <>p0",
@@ -661,6 +708,16 @@ class TestProofCommand:
                            "--calculus", "IK2")
         assert code == 0
 
+    def test_compile_needs_im_calc(self, tmp_path, capsys):
+        # a WM derivation that loads and checks, so the calculus is what fails
+        src = tmp_path / "wm.json"
+        src.write_text(json.dumps(docio.derivation_to_doc(ax(IM_CALC, "neg-a", {0: Atom(0)}))))
+        code, out, _ = run(capsys, "proof", "check", str(src), "--calculus", "WM")
+        assert code == 0
+        code, out, err = run(capsys, "proof", "compile", str(src), "--calculus", "WM")
+        assert code == 2 and out == ""
+        assert err == "error: compile expects --calculus IM_Calc\n"
+
     def test_deduce(self, tmp_path, capsys):
         from imodal.calculi import el
         d = el(parse("p0"), [parse("p0")])
@@ -680,6 +737,12 @@ class TestReproduceCommand:
         assert code == 0
         assert "FAIL" not in out
         assert "14/14" in out
+
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "reproduce", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["passed"] == payload["total"] == 14
+        assert len(payload["checks"]) == 14 and all(c["ok"] for c in payload["checks"])
 
 
 class TestDocumentRoundTrip:
