@@ -142,18 +142,15 @@ def _match(schema: Formula, phi: Formula, subst: dict):
         return subst if bound == phi else None
     if type(schema) is not type(phi):
         return None
-    if isinstance(schema, (And, Or, Implies)):
-        subst = _match(schema.left, phi.left, subst)
-        if subst is None:
+    for name in schema._fields:  # operands match, any other field is equal
+        mine, theirs = getattr(schema, name), getattr(phi, name)
+        if name in schema._children:
+            subst = _match(mine, theirs, subst)
+            if subst is None:
+                return None
+        elif mine != theirs:
             return None
-        return _match(schema.right, phi.right, subst)
-    if isinstance(schema, (Box, Dia, Nabla)):
-        return _match(schema.sub, phi.sub, subst)
-    if isinstance(schema, (BiBox, BiDia)):
-        if schema.index != phi.index:
-            return None
-        return _match(schema.sub, phi.sub, subst)
-    return subst  # Falsum
+    return subst
 
 
 def _box_for(dialect: str):
@@ -186,9 +183,12 @@ def check_derivation(spec: CalculusSpec, d: Derivation, _path: Tuple[int, ...] =
     elif d.rule == "Ax":
         if d.premises:
             fail("Ax takes no premises")
-        if (not isinstance(d.certificate, tuple) or len(d.certificate) != 2):
+        cert = d.certificate  # (schema id, ((atom index, formula), ...))
+        if not (isinstance(cert, tuple) and len(cert) == 2 and isinstance(cert[1], tuple)
+                and all(isinstance(item, tuple) and len(item) == 2 and type(item[0]) is int
+                        and isinstance(item[1], Formula) for item in cert[1])):
             fail("Ax certificate must be (schema id, substitution)")
-        sid, items = d.certificate
+        sid, items = cert
         try:
             schema = spec.schema(sid)
         except KeyError as exc:

@@ -1,4 +1,5 @@
-"""Two-sorted first-order side: sorted FO formulas, the standard translation,
+"""Two-sorted first-order side: sorted FO formulas, which share the
+connectives and the hash-consing of ``syntax``, the standard translation,
 intuitionistic-Kripke evaluation (classical, Tarskian evaluation is its case
 of one world), direct modal evaluation on growing-structure posets, and the
 classical maps between neighbourhood models and their first-order
@@ -10,15 +11,15 @@ image ``bullet``; the two routes check each other.
 
 Sorts are ``"s"`` (states) and ``"n"`` (neighbourhoods).  The signature has a
 binary predicate N between s and n, a binary predicate E between n and s, and
-a unary predicate P_i of sort s per atom.  The modal falsum translates to a
-primitive always-false formula rather than an inequality, since the signature
-carries no equality.
+a unary predicate P_i of sort s per atom.  The modal falsum translates to
+itself, a primitive always-false formula rather than an inequality, since the
+signature carries no equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 from .orders import is_partial_order, successors
 from .syntax import And, Atom, Box, Dia, Falsum, Formula, Implies, Or
@@ -33,62 +34,36 @@ class Var:
     name: str
 
 
-@dataclass(frozen=True)
-class PredP:
-    index: int
-    term: Var
+class FOFormula(Formula):
+    """Base of the first-order node classes.  They are hash-consed like the
+    modal nodes, and the connectives are the modal ones (``FALSUM``, ``And``,
+    ``Or``, ``Implies``); a formula with a first-order node is in no modal
+    dialect."""
+
+    __slots__ = ()
+    _dialects = frozenset()
 
 
-@dataclass(frozen=True)
-class RelN:
-    state: Var
-    nbhd: Var
+class PredP(FOFormula):
+    __slots__ = _fields = ("index", "term")
 
 
-@dataclass(frozen=True)
-class RelE:
-    nbhd: Var
-    state: Var
+class RelN(FOFormula):
+    __slots__ = _fields = ("state", "nbhd")
 
 
-@dataclass(frozen=True)
-class FoFalsum:
-    pass
+class RelE(FOFormula):
+    __slots__ = _fields = ("nbhd", "state")
 
 
-@dataclass(frozen=True)
-class FoAnd:
-    left: "FOFormula"
-    right: "FOFormula"
+class Forall(FOFormula):
+    __slots__ = _fields = ("var", "body")
+    _children = ("body",)
 
 
-@dataclass(frozen=True)
-class FoOr:
-    left: "FOFormula"
-    right: "FOFormula"
-
-
-@dataclass(frozen=True)
-class FoImplies:
-    left: "FOFormula"
-    right: "FOFormula"
-
-
-@dataclass(frozen=True)
-class Forall:
-    var: Var
-    body: "FOFormula"
-
-
-@dataclass(frozen=True)
-class Exists:
-    var: Var
-    body: "FOFormula"
-
-
-FOFormula = Union[PredP, RelN, RelE, FoFalsum, FoAnd, FoOr, FoImplies, Forall, Exists]
-
-FO_FALSUM = FoFalsum()
+class Exists(FOFormula):
+    __slots__ = _fields = ("var", "body")
+    _children = ("body",)
 
 
 class EvaluationError(ValueError):
@@ -103,48 +78,44 @@ class SortMismatchError(EvaluationError):
     pass
 
 
-def free_vars(phi: FOFormula) -> frozenset:
+def free_vars(phi: Formula) -> frozenset:
     if isinstance(phi, PredP):
         return frozenset([phi.term])
-    if isinstance(phi, RelN):
+    if isinstance(phi, (RelN, RelE)):
         return frozenset([phi.state, phi.nbhd])
-    if isinstance(phi, RelE):
-        return frozenset([phi.nbhd, phi.state])
-    if isinstance(phi, FoFalsum):
+    if isinstance(phi, Falsum):
         return frozenset()
-    if isinstance(phi, (FoAnd, FoOr, FoImplies)):
+    if isinstance(phi, (And, Or, Implies)):
         return free_vars(phi.left) | free_vars(phi.right)
     return free_vars(phi.body) - {phi.var}
 
 
-def well_sorted(phi: FOFormula) -> bool:
+def well_sorted(phi: Formula) -> bool:
     if isinstance(phi, PredP):
         return phi.term.sort == SORT_STATE
-    if isinstance(phi, RelN):
+    if isinstance(phi, (RelN, RelE)):
         return phi.state.sort == SORT_STATE and phi.nbhd.sort == SORT_NBHD
-    if isinstance(phi, RelE):
-        return phi.nbhd.sort == SORT_NBHD and phi.state.sort == SORT_STATE
-    if isinstance(phi, FoFalsum):
+    if isinstance(phi, Falsum):
         return True
-    if isinstance(phi, (FoAnd, FoOr, FoImplies)):
+    if isinstance(phi, (And, Or, Implies)):
         return well_sorted(phi.left) and well_sorted(phi.right)
     return well_sorted(phi.body)
 
 
-def show_fo(phi: FOFormula) -> str:
+def show_fo(phi: Formula) -> str:
     if isinstance(phi, PredP):
         return f"P{phi.index}({phi.term.name})"
     if isinstance(phi, RelN):
         return f"{phi.state.name} N {phi.nbhd.name}"
     if isinstance(phi, RelE):
         return f"{phi.nbhd.name} E {phi.state.name}"
-    if isinstance(phi, FoFalsum):
+    if isinstance(phi, Falsum):
         return "F"
-    if isinstance(phi, FoAnd):
+    if isinstance(phi, And):
         return f"({show_fo(phi.left)} & {show_fo(phi.right)})"
-    if isinstance(phi, FoOr):
+    if isinstance(phi, Or):
         return f"({show_fo(phi.left)} | {show_fo(phi.right)})"
-    if isinstance(phi, FoImplies):
+    if isinstance(phi, Implies):
         return f"({show_fo(phi.left)} -> {show_fo(phi.right)})"
     if isinstance(phi, Forall):
         return f"forall {phi.var.name}:{phi.var.sort}. {show_fo(phi.body)}"
@@ -157,7 +128,7 @@ def show_fo(phi: FOFormula) -> str:
 # Standard translation
 # ---------------------------------------------------------------------------
 
-def standard_translation(phi: Formula, var: Var = Var(SORT_STATE, "x")) -> FOFormula:
+def standard_translation(phi: Formula, var: Var = Var(SORT_STATE, "x")) -> Formula:
     """The standard translation of a box/diamond formula at ``var``.
 
     Bound variables are indexed by the modal nesting depth at which they are
@@ -169,25 +140,21 @@ def standard_translation(phi: Formula, var: Var = Var(SORT_STATE, "x")) -> FOFor
     return _st(phi, var, 0)
 
 
-def _st(phi: Formula, x: Var, depth: int) -> FOFormula:
+def _st(phi: Formula, x: Var, depth: int) -> Formula:
     if isinstance(phi, Atom):
         return PredP(phi.index, x)
     if isinstance(phi, Falsum):
-        return FO_FALSUM
-    if isinstance(phi, And):
-        return FoAnd(_st(phi.left, x, depth), _st(phi.right, x, depth))
-    if isinstance(phi, Or):
-        return FoOr(_st(phi.left, x, depth), _st(phi.right, x, depth))
-    if isinstance(phi, Implies):
-        return FoImplies(_st(phi.left, x, depth), _st(phi.right, x, depth))
+        return phi
+    if isinstance(phi, (And, Or, Implies)):
+        return type(phi)(_st(phi.left, x, depth), _st(phi.right, x, depth))
     a = Var(SORT_NBHD, f"a{depth}")
     y = Var(SORT_STATE, f"y{depth}")
     if isinstance(phi, Box):
-        return Exists(a, FoAnd(RelN(x, a),
-                               Forall(y, FoImplies(RelE(a, y), _st(phi.sub, y, depth + 1)))))
+        return Exists(a, And(RelN(x, a),
+                             Forall(y, Implies(RelE(a, y), _st(phi.sub, y, depth + 1)))))
     if isinstance(phi, Dia):
-        return Forall(a, FoImplies(RelN(x, a),
-                                   Exists(y, FoAnd(RelE(a, y), _st(phi.sub, y, depth + 1)))))
+        return Forall(a, Implies(RelN(x, a),
+                                 Exists(y, And(RelE(a, y), _st(phi.sub, y, depth + 1)))))
     raise TypeError(f"not a modal-dialect formula: {phi!r}")
 
 
@@ -266,7 +233,7 @@ def _domain(m: FOMStructure, sort: str):
     return m.states if sort == SORT_STATE else m.nbhds
 
 
-def _check_env(m: FOMStructure, phi: FOFormula, env) -> None:
+def _check_env(m: FOMStructure, phi: Formula, env) -> None:
     for v in free_vars(phi):
         if v not in env:
             raise UnboundVariableError(f"unbound variable {v.name}:{v.sort}")
@@ -274,14 +241,14 @@ def _check_env(m: FOMStructure, phi: FOFormula, env) -> None:
             raise SortMismatchError(f"{env[v]!r} is not in the {v.sort}-domain")
 
 
-def eval_fo_classical(m: FOMStructure, phi: FOFormula, env: Mapping) -> bool:
+def eval_fo_classical(m: FOMStructure, phi: Formula, env: Mapping) -> bool:
     """Standard classical satisfaction; ``env`` covers the free variables.  A
     classical structure is a Kripke structure with one world."""
     return eval_fo_kripke(IFOMStructure(frozenset((0,)), frozenset(((0, 0),)), {0: m}),
                           0, phi, env)
 
 
-def eval_fo_kripke(s: IFOMStructure, w, phi: FOFormula, env: Mapping) -> bool:
+def eval_fo_kripke(s: IFOMStructure, w, phi: Formula, env: Mapping) -> bool:
     """Intuitionistic Kripke semantics with increasing domains.
 
     Universal quantification and implication range over order successors;
@@ -308,15 +275,15 @@ def _eval_kripke(s: IFOMStructure, w, phi, env_items, memo) -> bool:
         result = (env[phi.state], env[phi.nbhd]) in m.relN
     elif isinstance(phi, RelE):
         result = (env[phi.nbhd], env[phi.state]) in m.relE
-    elif isinstance(phi, FoFalsum):
+    elif isinstance(phi, Falsum):
         result = False
-    elif isinstance(phi, FoAnd):
+    elif isinstance(phi, And):
         result = (_eval_kripke(s, w, phi.left, env_items, memo)
                   and _eval_kripke(s, w, phi.right, env_items, memo))
-    elif isinstance(phi, FoOr):
+    elif isinstance(phi, Or):
         result = (_eval_kripke(s, w, phi.left, env_items, memo)
                   or _eval_kripke(s, w, phi.right, env_items, memo))
-    elif isinstance(phi, FoImplies):
+    elif isinstance(phi, Implies):
         result = all(
             (not _eval_kripke(s, v, phi.left, env_items, memo))
             or _eval_kripke(s, v, phi.right, env_items, memo)

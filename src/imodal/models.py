@@ -463,21 +463,11 @@ def _inside(preds, t, n: int) -> list:
     return out
 
 
-def batch_classical(preds, up, full: int):
-    """Keys ``(w, s)``: the set ``s`` is a neighbourhood of ``w``."""
-    n = len(up)
-
-    def modal(f, t):
-        if isinstance(f, Box):
-            return True, _inside(preds, t, n)
-        if isinstance(f, Dia):
-            return False, _inside(preds, [full ^ x for x in t], n)
-        raise TypeError(f"not a modal-dialect formula: {f!r}")
-    return modal
-
-
 def batch_cnm(preds, up, full: int):
-    """Keys ``(w, s)``: the set ``s`` is in gamma at ``w``."""
+    """Keys ``(w, s)``: the set ``s`` is in gamma at ``w``.  Also the batch of
+    the classical kind, whose keys say that ``s`` is a neighbourhood of
+    ``w``: on the identity order, the only one a classical model has, the
+    universal box here holds where the classical, existential box does."""
     n = len(up)
 
     def modal(f, t):
@@ -574,16 +564,14 @@ def leq_equivalence(m: INModel):
 def check_inm(m: INModel, level: str = "basic") -> CheckReport:
     """Check an INModel at one of the levels ``basic``, ``coherent``,
     ``cartesian``; every violation is reported as a witness tuple."""
-    if level == "basic":
-        return CheckReport("inm-basic", validate_inm(m))
+    if level not in ("basic", "coherent", "cartesian"):
+        raise ValueError(f"unknown check level {level!r}")
     basic = validate_inm(m)
-    if basic:
+    if basic or level == "basic":
         return CheckReport(f"inm-{level}", basic)
     if level == "coherent":
         return CheckReport("inm-coherent", _coherence_violations(m))
-    if level == "cartesian":
-        return CheckReport("inm-cartesian", _cartesian_violations(m))
-    raise ValueError(f"unknown check level {level!r}")
+    return CheckReport("inm-cartesian", _cartesian_violations(m))
 
 
 def _coherence_violations(m: INModel) -> list:
@@ -804,5 +792,5 @@ KINDS = {
                  lambda s, point, phi: eval_modal_ifom(s, point[0], point[1], phi),
                  clauses_ifom, batch_inm, validate_ifom),
     "classical": Kind(NbhdModel, ("modal",), eval_classical, clauses_classical,
-                      batch_classical, validate_nbhd),
+                      batch_cnm, validate_nbhd),
 }

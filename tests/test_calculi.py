@@ -100,6 +100,28 @@ class TestMatchAxiom:
         got = match_axiom(IM_CALC, parse("p0 -> p1 -> p0"))
         assert got[0] == "K"
 
+    @pytest.mark.parametrize("name", ["ghc0", "WM", "IM_Calc", "iM", "IK2"])
+    def test_every_schema_round_trips(self, name):
+        spec = builtin_calculus(name)
+        fills = {"modal": ["[]p3 -> <>p4", "<>~p5", "p6 & []F"],
+                 "nabla": ["nabla p3 -> p4", "~nabla p5", "p6 & nabla F"],
+                 "bimodal": ["[N]p3 -> <E>p4", "<N>~p5", "p6 & [E]F"]}[spec.dialect]
+        renamed = {i: Atom(i + 3) for i in range(3)}
+        filled = {i: parse(f, spec.dialect) for i, f in enumerate(fills)}
+        for sid, schema in spec.schema_table():
+            for subst in (renamed, filled):
+                instance = substitute(schema, subst)
+                got_sid, got = match_axiom(spec, instance)
+                assert substitute(spec.schema(got_sid), got) is instance
+            assert match_axiom(spec, substitute(schema, renamed))[0] == sid
+
+    def test_bimodal_index_is_compared(self):
+        instance = substitute(IK2.schema("k-box-N"), {0: B("<E>p0"), 1: B("[N]p1")})
+        assert match_axiom(IK2, instance) == ("k-box-N", {0: B("<E>p0"), 1: B("[N]p1")})
+        only_e = CalculusSpec("E-only", "bimodal", (("k-box-E", IK2.schema("k-box-E")),),
+                              IK2.rules)
+        assert match_axiom(only_e, instance) is None
+
 
 class TestCheckDerivation:
     def test_element(self):
@@ -188,6 +210,17 @@ REJECTIONS = {
     "Ax-premises": (IM_CALC, replace(AX_OK, premises=(EL_OK,)), "Ax takes no premises", ()),
     "Ax-certificate": (IM_CALC, replace(MON_OK, premises=(replace(AX_OK, certificate="id"),)),
                        "Ax certificate must be (schema id, substitution)", (0,)),
+    "Ax-subst-not-items": (IM_CALC, replace(AX_OK, certificate=("id", 5)),
+                           "Ax certificate must be (schema id, substitution)", ()),
+    "Ax-subst-item-arity": (IM_CALC, replace(MON_OK, premises=(
+        replace(AX_OK, certificate=("id", ((0,),))),)),
+        "Ax certificate must be (schema id, substitution)", (0,)),
+    "Ax-subst-not-formula": (IM_CALC, replace(AX_OK, certificate=("id", ((0, "p0"),))),
+                             "Ax certificate must be (schema id, substitution)", ()),
+    # a derivation document keeps substitution keys as atom indices only
+    "Ax-subst-not-atom-index": (IM_CALC, replace(PAIR, premises=(
+        replace(AX_OK, certificate=("id", (("x", _P0),))), PAIR.premises[1])),
+        "Ax certificate must be (schema id, substitution)", (0,)),
     "MP-arity": (IM_CALC, replace(MP_OK, premises=MP_OK.premises[:1]),
                  "MP takes exactly two premises", ()),
     "MP-compose": (IM_CALC, replace(MP_OK, premises=MP_OK.premises[::-1]),

@@ -1,8 +1,9 @@
+import pickle
 import random
 
 import pytest
 
-from imodal.folm import (FO_FALSUM, FOMStructure, IFOMStructure, SortMismatchError,
+from imodal.folm import (FOMStructure, IFOMStructure, PredP, SortMismatchError,
                          UnboundVariableError, Var, classical_bullet,
                          classical_circle, eval_fo_classical, eval_fo_kripke,
                          eval_modal_ifom, free_vars, show_fo,
@@ -10,7 +11,7 @@ from imodal.folm import (FO_FALSUM, FOMStructure, IFOMStructure, SortMismatchErr
                          well_sorted)
 from imodal.models import NbhdModel, bullet, eval_classical, eval_inm
 from imodal.search import random_formula, random_ifom, random_poset
-from imodal.syntax import parse
+from imodal.syntax import DIALECTS, FALSUM, And, in_dialect, parse
 
 X = Var("s", "x")
 
@@ -28,7 +29,22 @@ class TestStandardTranslation:
         assert show_fo(standard_translation(parse("p1"), X)) == "P1(x)"
 
     def test_falsum_is_primitive(self):
-        assert standard_translation(parse("F"), X) == FO_FALSUM
+        assert standard_translation(parse("F"), X) is FALSUM
+
+    def test_translation_is_interned(self):
+        phi = parse("[]p0 -> <>(p1 | F)")
+        st = standard_translation(phi, X)
+        assert standard_translation(phi, X) is st
+        assert pickle.loads(pickle.dumps(st)) is st
+
+    def test_in_no_dialect(self):
+        st = standard_translation(parse("<>p0"), X)
+        assert not any(in_dialect(f, d) for f in (st, PredP(0, X), And(PredP(0, X), FALSUM))
+                       for d in DIALECTS)
+
+    def test_operands_must_be_formulas(self):
+        with pytest.raises(TypeError, match="not a formula"):
+            And(PredP(0, X), "x")
 
     def test_sort_preservation(self, rng):
         for _ in range(150):
@@ -46,7 +62,7 @@ def _two_point():
 
 class TestClassicalEvaluation:
     def test_falsum(self):
-        assert not eval_fo_classical(_two_point(), FO_FALSUM, {})
+        assert not eval_fo_classical(_two_point(), FALSUM, {})
 
     def test_vacuous_diamond(self):
         m = FOMStructure(frozenset({"d"}), frozenset(), frozenset(), frozenset(), {})
@@ -91,7 +107,7 @@ class TestKripkeEvaluation:
         assert eval_fo_kripke(ifom_example, "w1", st, {X: "d1"})
 
     def test_falsum(self, ifom_example):
-        assert not eval_fo_kripke(ifom_example, "w1", FO_FALSUM, {})
+        assert not eval_fo_kripke(ifom_example, "w1", FALSUM, {})
 
     def test_monotone(self, rng):
         # truth persists along the order for all sampled inputs

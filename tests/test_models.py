@@ -291,6 +291,14 @@ class TestCheckers:
         assert ("domain-not-an-upset", "a") in violations
         assert ("valuation-not-an-upset", 0) in violations
 
+    def test_unknown_level_raises_on_any_model(self, one_point_inm):
+        invalid = INModel(frozenset({0, 1}), frozenset({(0, 0), (1, 1), (0, 1)}),
+                          {"a": {0: frozenset({0})}}, {})  # domain not an upset
+        assert validate_inm(invalid)
+        for m in (one_point_inm, invalid):
+            with pytest.raises(ValueError, match="unknown check level 'bogus'"):
+                check_inm(m, "bogus")
+
     def test_check_full(self, wm_model):
         assert not check_full(wm_model)
         empty = CNModel(frozenset({"w"}), frozenset({("w", "w")}),
