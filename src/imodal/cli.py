@@ -42,7 +42,8 @@ def _load_model(path: str, validate: bool = True):
     from . import docio
     try:
         model = docio.read_model(path, validate=validate)
-    except (OSError, json.JSONDecodeError, docio.DocumentError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
+            docio.DocumentError) as exc:
         raise CliError(f"cannot load model {path}: {exc}") from exc
     return docio.model_kind(model), model
 
@@ -268,8 +269,8 @@ def _cmd_proof(args) -> int:
     spec = calculi.builtin_calculus(args.calculus)
     try:
         derivation = docio.read_derivation(args.derivation, spec.dialect)
-    except (OSError, json.JSONDecodeError, docio.DocumentError,
-            syntax.FormulaSyntaxError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
+            docio.DocumentError, syntax.FormulaSyntaxError) as exc:
         raise CliError(f"cannot load derivation: {exc}") from exc
     if args.mode == "check":
         try:

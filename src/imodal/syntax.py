@@ -212,7 +212,7 @@ def _tokenize(text: str):
 
 # Deepest formula the parser accepts, counting ``~``, modalities, parentheses
 # and binary operators.  Printing, hashing and evaluating recurse once or
-# twice per level, and the parser itself six times per parenthesis, so this
+# twice per level, and the parser itself four times per parenthesis, so this
 # keeps them all inside Python's default recursion limit of 1000.
 MAX_DEPTH = 100
 
@@ -245,36 +245,27 @@ class _Parser:
             raise FormulaSyntaxError(f"formula nested more than {MAX_DEPTH} deep", pos)
         return depth
 
-    def nested(self, parse, pos: int):
+    def nested(self, parse, pos: int, *args):
         """Parse one level deeper than the current token."""
         self.depth += 1
         self.check(0, pos)
-        node, depth = parse()
+        node, depth = parse(*args)
         self.depth -= 1
         return node, self.check(depth + 1, pos)
 
-    def parse_formula(self):
-        left, depth = self.parse_disjunction()
-        if _MEANING.get(self.peek()[1]) is Implies:
-            pos = self.advance()[2]
-            right, rdepth = self.nested(self.parse_formula, pos)  # right-associative
-            return Implies(left, right), self.check(max(depth + 1, rdepth), pos)
-        return left, depth
-
-    def parse_disjunction(self):
-        node, depth = self.parse_conjunction()
-        while _MEANING.get(self.peek()[1]) is Or:
-            pos = self.advance()[2]
-            right, rdepth = self.parse_conjunction()
-            node, depth = Or(node, right), self.check(max(depth, rdepth) + 1, pos)
-        return node, depth
-
-    def parse_conjunction(self):
+    def parse_binary(self, min_prec: int = 1):
+        """Precedence climbing over the printer's table ``_BINARY``: each
+        right operand is parsed at the precedence the table asks of it, and
+        that of the right-associative ``->`` one level deeper."""
         node, depth = self.parse_unary()
-        while _MEANING.get(self.peek()[1]) is And:
+        while (op := _MEANING.get(self.peek()[1])) in _BINARY and _BINARY[op][0] >= min_prec:
             pos = self.advance()[2]
-            right, rdepth = self.parse_unary()
-            node, depth = And(node, right), self.check(max(depth, rdepth) + 1, pos)
+            if op is Implies:
+                right, rdepth = self.nested(self.parse_binary, pos, _BINARY[op][2])
+                node, depth = op(node, right), self.check(max(depth + 1, rdepth), pos)
+            else:
+                right, rdepth = self.parse_binary(_BINARY[op][2])
+                node, depth = op(node, right), self.check(max(depth, rdepth) + 1, pos)
         return node, depth
 
     def parse_unary(self):
@@ -301,7 +292,7 @@ class _Parser:
             node = _MEANING[value]
             return node, int(node is TRUE)  # T is F -> F
         if kind == "lpar":
-            node = self.nested(self.parse_formula, pos)
+            node = self.nested(self.parse_binary, pos)
             self.expect("rpar")
             return node
         raise FormulaSyntaxError(f"unexpected token {value!r}", pos)
@@ -316,7 +307,7 @@ def parse(text: str, dialect: str = "modal") -> Formula:
     if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}")
     parser = _Parser(_tokenize(text), dialect)
-    node, _ = parser.parse_formula()
+    node, _ = parser.parse_binary()
     tok = parser.peek()
     if tok[0] != "end":
         raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])

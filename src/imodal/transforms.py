@@ -70,10 +70,6 @@ class Path:
         object.__setattr__(self, "split", k)
 
     @property
-    def first(self):
-        return self.worlds[0]
-
-    @property
     def last(self):
         return self.worlds[-1]
 
@@ -85,23 +81,8 @@ class Path:
     def is_unravelling(self) -> bool:
         return all(lab is not ORDER_STEP for lab in self.labels[self.split:])
 
-    @property
-    def order_part(self) -> "Path":
-        return Path(self.worlds[:self.split + 1], self.labels[:self.split])
-
-    @property
-    def nbhd_part(self) -> "Path":
-        return Path(self.worlds[self.split:], self.labels[self.split:])
-
     def step(self, label, world) -> "Path":
         return Path(self.worlds + (world,), self.labels + (label,))
-
-
-def path_valid(m: INModel, p: Path) -> bool:
-    """Each step is an order step up ``leq``, or a neighbourhood step from a
-    world of the neighbourhood's domain into its value there."""
-    return all((w, v) in m.leq if label is ORDER_STEP else v in m.nbhds.get(label, {}).get(w, ())
-               for label, w, v in zip(p.labels, p.worlds, p.worlds[1:]))
 
 
 def leq_ur(m: INModel, p: Path, q: Path) -> bool:

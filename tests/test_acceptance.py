@@ -16,8 +16,7 @@ from imodal.models import (check_inm, eval_cnm, eval_ik2, eval_inm,
                            r_equivalence, truth_set_inm)
 from imodal.orders import equivalence_classes
 from imodal.search import (CounterexampleFound, SearchBounds, find_countermodel,
-                           random_cnm, random_coherent_inm, random_formula,
-                           random_ifom, random_inm, sweep_inm_validity)
+                           sweep_inm_validity)
 from imodal.syntax import (And, Atom, Box, Dia, FALSUM, Implies, Or,
                            consecution, modal_depth, parse, substitute,
                            translate_bimodal)
@@ -25,6 +24,7 @@ from imodal.transforms import (Path, TruncationBudget, bullet, circle,
                                coherent_completion, fullify, hat, leq_ur, star,
                                unravel)
 
+from generators import random_cnm, random_coherent_inm, random_formula, random_ifom, random_inm
 from test_calculi import build_corpus
 
 SEED = 20260808
@@ -309,11 +309,11 @@ def test_criterion_8_persistence_and_structural_lemmas():
         for p in paths:
             for q in paths:
                 if uf_leq.same(p, q):
-                    ok_unravelling &= p.nbhd_part.length == q.nbhd_part.length
+                    ok_unravelling &= p.length - p.split == q.length - q.split
                 if (p, q) in u.leq and p.length == q.length:
                     ok_unravelling &= p == q
                 ok_unravelling &= uf_r.same(p, q) == (
-                    p.order_part.worlds == q.order_part.worlds)
+                    p.worlds[:p.split + 1] == q.worlds[:q.split + 1])
 
     _report("criterion 8: persistence and structural lemmas",
             ok_persistence and ok_structure and ok_unravelling,

@@ -15,6 +15,7 @@ from imodal.calculi import IM_CALC, ax
 from imodal.orders import successors
 from imodal.syntax import (DIALECTS, Atom, BiDia, Box, Implies, parse,
                            translate_bimodal)
+import generators
 from test_search import SRC, _run_python
 
 DATA = "src/imodal/data"
@@ -103,15 +104,29 @@ def test_parse_exit_code_contract(prefix, body, dialect):
     ["eval", f"{DATA}/ifom_example.json", "w1", "p0"],
     ["check-model", f"{DATA}/figure1_frame.json", "--level", "full"],
     ["transform", "bullet", f"{DATA}/figure1_frame.json"],
+    ["eval", "{latin}", "w", "p0"],
+    ["check-model", "{latin}"],
+    ["transform", "bullet", "{latin}"],
+    ["proof", "check", "{latin}"],
+    ["eval", "{deep}", "w", "p0"],
+    ["check-model", "{deep}"],
+    ["transform", "bullet", "{deep}"],
+    ["proof", "check", "{deep}"],
 ], ids=["unknown-world", "parse-error", "deduce-without-phi", "array-document", "unknown-kind",
-        "ifom-point-without-slash", "level-for-another-kind", "transform-wrong-kind"])
+        "ifom-point-without-slash", "level-for-another-kind", "transform-wrong-kind",
+        "eval-not-utf8", "check-model-not-utf8", "transform-not-utf8", "proof-not-utf8",
+        "eval-nested-too-deep", "check-model-nested-too-deep", "transform-nested-too-deep",
+        "proof-nested-too-deep"])
 def test_exit_code_contract_in_a_fresh_process(tmp_path, argv):
     # main catches the error classes of the modules it has imported so far;
     # the in-process tests run after every module is loaded, so they cannot
     # tell whether the command loads the module of the error it raises
-    array = tmp_path / "array.json"
-    array.write_text("[]")
-    argv = [a.format(array=array) for a in argv]
+    docs = {"array": "[]", "latin": '{"kind": "inm", "worlds": ["\xe9"]}',
+            "deep": "[" * 200000}
+    for name, text in docs.items():
+        # in latin-1 the e-acute is one byte, which is not UTF-8
+        (tmp_path / f"{name}.json").write_text(text, encoding="latin-1")
+    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in docs}) for a in argv]
     done = subprocess.run([sys.executable, "-m", "imodal.cli", *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": SRC})
     assert done.returncode == 2 and done.stdout == ""
@@ -262,11 +277,11 @@ PINNED_IFOM_TRACE = """\
 def _random_model(rng, kind):
     bounds = search.SearchBounds(4, 2, 2)
     if kind == "inm":
-        return search.random_inm(rng, bounds)
+        return generators.random_inm(rng, bounds)
     if kind == "cnm":
-        return search.random_cnm(rng, bounds)
+        return generators.random_cnm(rng, bounds)
     if kind == "ifom":
-        return search.random_ifom(rng)
+        return generators.random_ifom(rng)
     worlds = frozenset(range(rng.randint(1, 4)))
 
     def some(pool):
@@ -277,7 +292,7 @@ def _random_model(rng, kind):
         return models.NbhdModel(worlds, {w: frozenset(some(worlds) for _ in range(2))
                                          for w in worlds}, val)
     pairs = [(a, b) for a in worlds for b in worlds]
-    return models.IK2Model(worlds, search.random_poset(rng, len(worlds)),
+    return models.IK2Model(worlds, generators.random_poset(rng, len(worlds)),
                            some(pairs), some(pairs), val)
 
 
@@ -324,7 +339,7 @@ class TestTrace:
             points = ([(w, x) for w in sorted(m.worlds) for x in sorted(m.interp[w].states)]
                       if kind == "ifom" else sorted(m.worlds))
             label = {str(p): p for p in points}
-            phi = search.random_formula(rng, 3, 2, "nabla" if dialect == "nabla" else "modal")
+            phi = generators.random_formula(rng, 3, 2, "nabla" if dialect == "nabla" else "modal")
             if kind == "ik2":
                 phi = translate_bimodal(phi)
             value, lines = trace_eval(kind, m, rng.choice(points), phi)
@@ -374,13 +389,14 @@ class TestTrace:
     def test_independent_of_string_hashing(self):
         code = (
             "import random\n"
-            "from imodal import cli, search, syntax\n"
+            "import generators\n"
+            "from imodal import cli, syntax\n"
             "rng = random.Random(5)\n"
             "for name in ('figure1_frame', 'inm_box_bot_counterexample',\n"
             "             'ik2_counterexample', 'wm_counterexample'):\n"
             f"    kind, m = cli._load_model('{DATA}/' + name + '.json')\n"
             "    for _ in range(20):\n"
-            "        phi = search.random_formula(rng, 3, 2)\n"
+            "        phi = generators.random_formula(rng, 3, 2)\n"
             "        if kind == 'ik2':\n"
             "            phi = syntax.translate_bimodal(phi)\n"
             "        w = rng.choice(sorted(m.worlds))\n"

@@ -10,8 +10,9 @@ from imodal.folm import (FOMStructure, IFOMStructure, PredP, SortMismatchError,
                          standard_translation, validate_fom, validate_ifom,
                          well_sorted)
 from imodal.models import NbhdModel, bullet, eval_classical, eval_inm
-from imodal.search import random_formula, random_ifom, random_poset
 from imodal.syntax import DIALECTS, FALSUM, And, in_dialect, parse
+
+from generators import random_formula, random_ifom, random_poset
 
 X = Var("s", "x")
 

@@ -7,10 +7,11 @@ from imodal.models import (KINDS, CNModel, IK2Model, INModel, NbhdModel,
                            truth_set_classical, truth_set_cnm, truth_set_ik2,
                            truth_set_inm, validate_ik2, validate_inm)
 from imodal.orders import successors
-from imodal.search import (SearchBounds, _random_upset, enumerate_models,
-                           random_cnm, random_formula, random_inm, random_poset)
+from imodal.search import SearchBounds, enumerate_models
 from imodal.syntax import (And, Atom, BiBox, BiDia, Box, Dia, Falsum, Implies,
                            Nabla, Or, parse, substitute, translate_bimodal)
+
+from generators import _random_upset, random_cnm, random_formula, random_inm, random_poset
 
 B = lambda s: parse(s, "bimodal")
 N = lambda s: parse(s, "nabla")

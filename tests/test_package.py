@@ -1,13 +1,15 @@
 """The package surface: the names ``imodal`` exports, and which submodules a
 bare import and each CLI command load in a fresh interpreter."""
 
+import ast
 import importlib
 import json
+import pathlib
 
 import pytest
 
 import imodal
-from test_search import _run_python
+from test_search import SRC, _run_python
 
 DATA = "src/imodal/data"
 
@@ -89,3 +91,28 @@ class TestImportFootprint:
         loaded = _loaded_by_cli(*argv)
         assert "imodal.models" in loaded
         assert not {"imodal.search", "imodal.transforms", "imodal.calculi"} & set(loaded)
+
+
+def _trees(*dirs) -> dict:
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for d in dirs for path in sorted(pathlib.Path(d).glob("*.py"))}
+
+
+def test_every_definition_is_used_or_exported():
+    # a top-level function or class of the package that no code of the
+    # package or the benchmark names, and that is not exported, serves only
+    # the tests, and belongs with them (the interpreter calls the package's
+    # module hooks __getattr__ and __dir__)
+    package = _trees(pathlib.Path(SRC, "imodal"))
+    used = {*imodal.__all__, "__getattr__", "__dir__"}
+    for tree in {**package, **_trees(pathlib.Path(SRC).parent / "bench")}.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [f"{path.name}:{node.name}" for path, tree in package.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
+    assert unused == []

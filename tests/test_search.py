@@ -19,20 +19,21 @@ from imodal.models import (KINDS, INModel, _bits, _truth_set, check_full, check_
 from imodal.folm import FOMStructure, eval_modal_ifom, validate_ifom
 from imodal.search import (CounterexampleFound, NoneWithinBounds, SearchBounds,
                            enumerate_models, find_countermodel,
-                           random_cnm, random_coherent_inm,
-                           random_formula, random_ifom, random_inm,
                            sweep_inm_validity, upsets_of_poset, _ifom_model,
                            _columns, _inm_columns, _orders, _repeat, _space,
                            _subsets, _supersets, _union_below)
 from imodal.syntax import (FALSUM, Atom, Box, Dia, Implies, consecution, parse,
                            substitute, translate_bimodal)
 
+from generators import random_cnm, random_coherent_inm, random_formula, random_ifom, random_inm
+
 SRC = os.path.dirname(os.path.dirname(imodal.__file__))
 
 
 def _run_python(code: str, **env) -> str:
-    """Run ``code`` in a fresh interpreter on this checkout's sources."""
-    env = {**os.environ, "PYTHONPATH": SRC, **env}
+    """Run ``code`` in a fresh interpreter on this checkout's sources, with
+    the test helpers (``generators``) importable."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.path.dirname(__file__)]), **env}
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     return done.stdout.strip()
@@ -590,7 +591,7 @@ class TestRandomGenerators:
 
     def test_ifom_independent_of_string_hashing(self):
         code = ("import hashlib, random\n"
-                "from imodal.search import random_ifom\n"
+                "from generators import random_ifom\n"
                 "def canon(s):\n"
                 "    return (sorted(s.worlds), sorted(s.leq), [\n"
                 "        (w, sorted(m.states), sorted(m.nbhds), sorted(m.relN),\n"

@@ -83,7 +83,7 @@ class TestShow:
 
     def test_round_trip_random(self):
         rng = random.Random(99)
-        from imodal.search import random_formula
+        from generators import random_formula
         for dialect in ("modal", "nabla"):
             for _ in range(250):
                 phi = random_formula(rng, 6, 3, dialect)
@@ -192,7 +192,7 @@ class TestSubstitute:
         assert substitute(parse("p0 -> p1"), {0: FALSUM, 1: P0}) == parse("F -> p0")
 
     def test_commutes_with_translation(self, rng):
-        from imodal.search import random_formula
+        from generators import random_formula
         for _ in range(100):
             schema = random_formula(rng, 2, 3)
             images = {i: random_formula(rng, 2, 2) for i in range(3)}
@@ -212,7 +212,7 @@ class TestTranslations:
         assert embed_dia(phi) == parse("(~<>F -> <>T) -> <>T")
 
     def test_embeddings_agree_without_modalities(self, rng):
-        from imodal.search import random_formula
+        from generators import random_formula
         for _ in range(100):
             phi = random_formula(rng, 2, 3, "nabla")
             if in_dialect(phi, "modal"):  # no nabla occurs

@@ -8,12 +8,13 @@ from imodal.models import (INModel, check_full, check_ik2_frame, check_inm,
                            eval_cnm, eval_ik2, eval_inm, find_isomorphism,
                            nbhd_relation)
 from imodal.orders import equivalence_classes
-from imodal.search import (SearchBounds, random_cnm, random_coherent_inm,
-                           random_formula, random_ifom, random_inm)
+from imodal.search import SearchBounds
 from imodal.syntax import parse, show, translate_bimodal
 from imodal.transforms import (Path, TransformError, TruncationBudget, bullet,
                                circle, coherent_completion, fullify, hat,
-                               leq_ur, path_valid, star, unravel)
+                               leq_ur, star, unravel)
+
+from generators import random_cnm, random_coherent_inm, random_formula, random_ifom, random_inm
 
 REFL2 = frozenset({("w", "w"), ("v", "v"), ("w", "v")})
 
@@ -125,9 +126,9 @@ def _same_model(a, b):
 class TestPath:
     def test_accessors(self):
         p = Path(("w", "v", "u"), (None, "a"))
-        assert p.first == "w" and p.last == "u" and p.length == 2
-        assert p.order_part.worlds == ("w", "v")
-        assert p.nbhd_part.worlds == ("v", "u")
+        assert p.worlds[0] == "w" and p.last == "u" and p.length == 2
+        assert p.worlds[:p.split + 1] == ("w", "v")
+        assert p.worlds[p.split:] == ("v", "u")
         assert p.is_unravelling
 
     def test_split_is_derived(self):
@@ -149,6 +150,10 @@ class TestPath:
         assert not p.is_unravelling
 
     def test_validity(self, figure1_frame):
+        def path_valid(m, p):
+            return all((w, v) in m.leq if label is None else v in m.nbhds.get(label, {}).get(w, ())
+                       for label, w, v in zip(p.labels, p.worlds, p.worlds[1:]))
+
         assert path_valid(figure1_frame, Path(("w", "v", "u"), (None, "a")))
         assert not path_valid(figure1_frame, Path(("w", "u"), (None,)))
         assert not path_valid(figure1_frame, Path(("w", "v"), ("a",)))
@@ -216,10 +221,10 @@ class TestUnravel:
             for p in paths:
                 for q in paths:
                     if uf_leq.same(p, q):
-                        assert p.nbhd_part.length == q.nbhd_part.length
+                        assert p.length - p.split == q.length - q.split
                     if (p, q) in u.leq and p.length == q.length:
                         assert p == q
-                    assert uf_r.same(p, q) == (p.order_part.worlds == q.order_part.worlds)
+                    assert uf_r.same(p, q) == (p.worlds[:p.split + 1] == q.worlds[:q.split + 1])
 
     def test_equivalence_closure_of_order_merges_histories(self):
         # Documented divergence: the closure of the unravelling order can relate
