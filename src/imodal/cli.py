@@ -6,6 +6,12 @@ Truth-valued commands exit 0 for true/pass, 1 for false/fail, and 2 on parse
 or validation errors, so shell harnesses need no output parsing.  ``search``
 is not truth-valued: it exits 0 whenever the search ran, whatever it found,
 and 2 on an error.
+
+``main`` is the one place where errors become exit 2.  Every error that the
+package raises on bad input is a ``ValueError`` (``CliError`` too), as are JSON
+and UTF-8 decoding errors; a file that cannot be read or written raises
+``OSError``, and an over-deep document ``RecursionError``.  Any other
+exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -18,13 +24,8 @@ from . import syntax
 from .syntax import parse, show
 
 
-class CliError(Exception):
+class CliError(ValueError):
     pass
-
-
-# the other errors that exit 2; main reads those of the modules imported so far
-_ERRORS = {"imodal.folm": "EvaluationError", "imodal.models": "ModelError",
-           "imodal.calculi": "DerivationError"}
 
 
 def _parse_for_kind(text: str, kind: str):
@@ -42,10 +43,15 @@ def _load_model(path: str, validate: bool = True):
     from . import docio
     try:
         model = docio.read_model(path, validate=validate)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
-            docio.DocumentError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         raise CliError(f"cannot load model {path}: {exc}") from exc
     return docio.model_kind(model), model
+
+
+def _write(path: str, doc, **layout) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, **layout)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +131,7 @@ def _cmd_parse(args) -> int:
     return 0
 
 
-def _point_of(kind, model, world_arg: str):
+def _point_of(kind, world_arg: str):
     if kind == "ifom":
         if "/" not in world_arg:
             raise CliError("ifom evaluation points are written world/state")
@@ -138,7 +144,7 @@ def _cmd_eval(args) -> int:
     from . import models
     kind, model = _load_model(args.model, validate=not args.no_validate)
     phi = _parse_for_kind(args.formula, kind)
-    point = _point_of(kind, model, args.world)
+    point = _point_of(kind, args.world)
     lines = None
     if args.trace:
         value, lines = trace_eval(kind, model, point, phi)
@@ -193,33 +199,25 @@ def _cmd_translate(args) -> int:
 def _cmd_transform(args) -> int:
     from . import docio, transforms
     kind, model = _load_model(args.model, validate=not args.no_validate)
-    try:
-        budget = transforms.TruncationBudget(coh_levels=args.coh_levels,
-                                             unravel_len=args.unravel_len)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    budget = transforms.TruncationBudget(coh_levels=args.coh_levels,
+                                         unravel_len=args.unravel_len)
     name = args.name
     wanted = {"bullet": "ifom", "fullify": "cnm"}.get(name, "inm")
     if kind != wanted:
         raise CliError(f"transform {name} expects a {wanted} document, got {kind}")
     if name == "unravel" and args.source is None:
         raise CliError("unravel requires --source WORLD")
-    try:
-        if name == "coh":
-            out = transforms.coherent_completion(model, budget)
-        elif name == "unravel":
-            out = transforms.unravel(model, args.source, budget)
-        else:
-            out = {"bullet": transforms.bullet, "circle": transforms.circle,
-                   "hat": transforms.hat, "fullify": transforms.fullify,
-                   "star": transforms.star}[name](model)
-    except transforms.TransformError as exc:
-        raise CliError(str(exc)) from exc
+    if name == "coh":
+        out = transforms.coherent_completion(model, budget)
+    elif name == "unravel":
+        out = transforms.unravel(model, args.source, budget)
+    else:
+        out = {"bullet": transforms.bullet, "circle": transforms.circle,
+               "hat": transforms.hat, "fullify": transforms.fullify,
+               "star": transforms.star}[name](model)
     doc = docio.model_to_doc(out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(args.out, doc, indent=2, sort_keys=True)
         summary = {"written": args.out, "kind": doc["kind"],
                    "worlds": len(doc["worlds"])}
         print(json.dumps(summary) if args.json else
@@ -237,15 +235,12 @@ def _cmd_search(args) -> int:
     context = [_parse_for_kind(t.strip(), kind) for t in args.context.split(";")
                if t.strip()] if args.context else []
     phi = _parse_for_kind(args.formula, kind)
-    try:
-        bounds = search.SearchBounds(args.max_worlds, args.max_nbhds, args.max_atoms,
-                                     require_coherent=args.coherent,
-                                     require_cartesian=args.cartesian,
-                                     require_full=args.full)
-        result = search.find_countermodel(syntax.consecution(context, phi), kind, bounds,
-                                          timeout_ms=args.timeout_ms)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    bounds = search.SearchBounds(args.max_worlds, args.max_nbhds, args.max_atoms,
+                                 require_coherent=args.coherent,
+                                 require_cartesian=args.cartesian,
+                                 require_full=args.full)
+    result = search.find_countermodel(syntax.consecution(context, phi), kind, bounds,
+                                      timeout_ms=args.timeout_ms)
     if isinstance(result, search.CounterexampleFound):
         doc = docio.model_to_doc(result.model)
         labels = docio._labelling(result.model.worlds)
@@ -257,9 +252,7 @@ def _cmd_search(args) -> int:
         payload = {"status": "none-within-bounds", "examined": result.examined,
                    "elapsed": round(result.elapsed, 3), "timed_out": result.timed_out}
     if args.out and payload.get("model"):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload["model"], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(args.out, payload["model"], indent=2, sort_keys=True)
     print(json.dumps(payload, indent=None if args.json else 2, sort_keys=True))
     return 0
 
@@ -269,8 +262,7 @@ def _cmd_proof(args) -> int:
     spec = calculi.builtin_calculus(args.calculus)
     try:
         derivation = docio.read_derivation(args.derivation, spec.dialect)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
-            docio.DocumentError, syntax.FormulaSyntaxError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         raise CliError(f"cannot load derivation: {exc}") from exc
     if args.mode == "check":
         try:
@@ -296,7 +288,7 @@ def _cmd_proof(args) -> int:
     if target == "-":
         print(json.dumps(docio.derivation_to_doc(out)))
     else:
-        docio.write_derivation(target, out)
+        _write(target, docio.derivation_to_doc(out), indent=1)
         print(json.dumps({"written": target,
                           "formula": show(out.conclusion.conclusion)})
               if args.json else
@@ -480,8 +472,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, syntax.FormulaSyntaxError, *(getattr(sys.modules[m], name) for m, name
-                                                    in _ERRORS.items() if m in sys.modules)) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

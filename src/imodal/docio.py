@@ -277,9 +277,3 @@ def _derivation(doc, dialect: str, prefix: str) -> calculi.Derivation:
 def read_derivation(path: str, dialect: str) -> calculi.Derivation:
     with open(path, "r", encoding="utf-8") as fh:
         return derivation_from_doc(json.load(fh), dialect)
-
-
-def write_derivation(path: str, d: calculi.Derivation) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(derivation_to_doc(d), fh, indent=1)
-        fh.write("\n")

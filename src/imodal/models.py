@@ -652,31 +652,25 @@ def _world_profile(m: INModel, w):
     return (indeg, outdeg, atoms_true, dom_count, value_sizes, member_count)
 
 
+def _transport(m: INModel, alpha: Mapping, nu: Mapping) -> INModel:
+    """The image of ``m`` under the world map ``alpha`` and the name map
+    ``nu``, leaving out the atoms that hold nowhere."""
+    return INModel(frozenset(alpha[w] for w in m.worlds),
+                   frozenset((alpha[w], alpha[v]) for w, v in m.leq),
+                   {nu[name]: {alpha[u]: frozenset(alpha[v] for v in value)
+                               for u, value in a.items()} for name, a in m.nbhds.items()},
+                   {i: frozenset(alpha[w] for w in ext) for i, ext in m.val.items() if ext})
+
+
 def is_isomorphism(m: INModel, m2: INModel, alpha: Mapping, nu: Mapping) -> bool:
-    """Verify the four isomorphism conditions on a candidate pair of maps."""
-    if set(alpha) != set(m.worlds) or set(alpha.values()) != set(m2.worlds):
+    """Whether ``alpha`` and ``nu`` are one-to-one on the worlds and names of
+    ``m`` and carry ``m`` onto ``m2``."""
+    if set(alpha) != set(m.worlds) or set(nu) != set(m.nbhds):
         return False
-    if set(nu) != set(m.nbhds) or set(nu.values()) != set(m2.nbhds):
+    if len(set(alpha.values())) < len(alpha) or len(set(nu.values())) < len(nu):
         return False
-    for w in m.worlds:
-        for v in m.worlds:
-            if ((w, v) in m.leq) != ((alpha[w], alpha[v]) in m2.leq):
-                return False
-    for name, a in m.nbhds.items():
-        b = m2.nbhds[nu[name]]
-        for w in m.worlds:
-            if (w in a) != (alpha[w] in b):
-                return False
-        for u in a:
-            for w in m.worlds:
-                if (w in a[u]) != (alpha[w] in b[alpha[u]]):
-                    return False
-    for i in set(m.val) | set(m2.val):
-        ext, ext2 = m.val.get(i, frozenset()), m2.val.get(i, frozenset())
-        for w in m.worlds:
-            if (w in ext) != (alpha[w] in ext2):
-                return False
-    return True
+    return _transport(m, alpha, nu) == _transport(m2, {w: w for w in m2.worlds},
+                                                  {name: name for name in m2.nbhds})
 
 
 def find_isomorphism(m: INModel, m2: INModel):
@@ -729,31 +723,18 @@ def find_isomorphism(m: INModel, m2: INModel):
 
 
 def _match_nbhds(m: INModel, m2: INModel, alpha: Mapping):
-    """Given a world bijection, match neighbourhoods by transported signature;
-    equal-signature neighbourhoods are interchangeable."""
-
-    def sig_of(a):
-        return tuple(sorted(((alpha[u], tuple(sorted((alpha[v] for v in a[u]), key=str)))
-                             for u in a), key=str))
-
-    def sig_plain(b):
-        return tuple(sorted(((u, tuple(sorted(b[u], key=str))) for u in b), key=str))
-
-    groups1: dict = {}
-    for name, a in m.nbhds.items():
-        groups1.setdefault(sig_of(a), []).append(name)
-    groups2: dict = {}
-    for name, b in m2.nbhds.items():
-        groups2.setdefault(sig_plain(b), []).append(name)
-    if set(groups1) != set(groups2):
-        return None
+    """Given a world bijection, pair each name of ``m``, in label order, with
+    the least unpaired name of ``m2`` whose value map is its image; ``None``
+    when some name has none."""
+    image = _transport(m, alpha, {name: name for name in m.nbhds}).nbhds
+    unpaired = sorted(m2.nbhds, key=str)
     nu: dict = {}
-    for sig, names in groups1.items():
-        partners = groups2[sig]
-        if len(partners) != len(names):
+    for name in sorted(m.nbhds, key=str):
+        partner = next((n2 for n2 in unpaired if m2.nbhds[n2] == image[name]), None)
+        if partner is None:
             return None
-        for n1, n2 in zip(sorted(names, key=str), sorted(partners, key=str)):
-            nu[n1] = n2
+        nu[name] = partner
+        unpaired.remove(partner)
     return nu
 
 

@@ -112,21 +112,30 @@ def test_parse_exit_code_contract(prefix, body, dialect):
     ["check-model", "{deep}"],
     ["transform", "bullet", "{deep}"],
     ["proof", "check", "{deep}"],
+    ["transform", "star", f"{DATA}/figure1_frame.json", "--out", "{missing}/x.json"],
+    ["transform", "star", f"{DATA}/figure1_frame.json", "--out", "{dir}"],
+    ["search", "p0 | ~p0", "--out", "{missing}/x.json"],
+    ["proof", "compile", "{leaf}", "--out", "{missing}/x.json"],
+    ["proof", "deduce", f"{DATA}/neg_a_translated.json", "--calculus", "IK2", "--phi", "p0",
+     "--out", "{missing}/x.json"],
 ], ids=["unknown-world", "parse-error", "deduce-without-phi", "array-document", "unknown-kind",
         "ifom-point-without-slash", "level-for-another-kind", "transform-wrong-kind",
         "eval-not-utf8", "check-model-not-utf8", "transform-not-utf8", "proof-not-utf8",
         "eval-nested-too-deep", "check-model-nested-too-deep", "transform-nested-too-deep",
-        "proof-nested-too-deep"])
+        "proof-nested-too-deep", "transform-out-missing-dir", "transform-out-is-a-dir",
+        "search-out-missing-dir", "compile-out-missing-dir", "deduce-out-missing-dir"])
 def test_exit_code_contract_in_a_fresh_process(tmp_path, argv):
-    # main catches the error classes of the modules it has imported so far;
-    # the in-process tests run after every module is loaded, so they cannot
-    # tell whether the command loads the module of the error it raises
+    # each command runs in a fresh interpreter that has loaded only the
+    # modules it needs, as at the shell; an --out file that cannot be written
+    # is an error too, not a traceback
+    leaf = json.dumps(docio.derivation_to_doc(ax(IM_CALC, "i-dia", {0: Atom(0)})))
     docs = {"array": "[]", "latin": '{"kind": "inm", "worlds": ["\xe9"]}',
-            "deep": "[" * 200000}
+            "deep": "[" * 200000, "leaf": leaf}
     for name, text in docs.items():
         # in latin-1 the e-acute is one byte, which is not UTF-8
         (tmp_path / f"{name}.json").write_text(text, encoding="latin-1")
-    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in docs}) for a in argv]
+    paths = {name: tmp_path / f"{name}.json" for name in docs}
+    argv = [a.format(**paths, missing=tmp_path / "missing", dir=tmp_path) for a in argv]
     done = subprocess.run([sys.executable, "-m", "imodal.cli", *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": SRC})
     assert done.returncode == 2 and done.stdout == ""

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from imodal.models import (KINDS, CNModel, IK2Model, INModel, NbhdModel,
                            check_full, check_ik2_frame, check_inm,
                            eval_classical, eval_cnm, eval_ik2, eval_inm,
-                           find_isomorphism, is_isomorphism,
+                           _world_profile, find_isomorphism, is_isomorphism,
                            truth_set_classical, truth_set_cnm, truth_set_ik2,
                            truth_set_inm, validate_ik2, validate_inm)
 from imodal.orders import successors
@@ -366,6 +368,68 @@ class TestIsomorphism:
         other = INModel(frozenset({"w"}), frozenset({("w", "w")}),
                         {"a": {"w": frozenset()}}, {0: frozenset({"w"})})
         assert find_isomorphism(one_point_inm, other) is None
+
+    @staticmethod
+    def _backtracking_pair(**extra):
+        """Worlds 0-3 with 0 <= 3 and ``a0 = {0: {2, 3}, 3: {1, 3}}`` (plus the
+        neighbourhoods ``extra``), and its copy under 0->w, 1->y, 2->x, 3->z
+        with each name ``n`` renamed ``n.upper()``.  Worlds 1 and 2 share a
+        profile, so the search tries 1->x first and must undo it."""
+        worlds = frozenset(range(4))
+        nbhds = {"a0": {0: frozenset({2, 3}), 3: frozenset({1, 3})}, **extra}
+        m = INModel(worlds, frozenset((w, w) for w in worlds) | {(0, 3)}, nbhds, {})
+        alpha = {0: "w", 1: "y", 2: "x", 3: "z"}
+        copy = INModel(frozenset(alpha.values()),
+                       frozenset((alpha[w], alpha[v]) for w, v in m.leq),
+                       {name.upper(): {alpha[u]: frozenset(alpha[v] for v in value)
+                                       for u, value in a.items()}
+                        for name, a in nbhds.items()}, {})
+        return m, copy
+
+    def test_backtracks_after_a_failed_neighbourhood_match(self, monkeypatch):
+        import imodal.models as models
+        m, copy = self._backtracking_pair()
+        match, failed = models._match_nbhds, []
+
+        def counting(*args):
+            nu = match(*args)
+            failed.extend([args[2].copy()] * (nu is None))
+            return nu
+
+        monkeypatch.setattr(models, "_match_nbhds", counting)
+        assert find_isomorphism(m, copy) == ({0: "w", 1: "y", 2: "x", 3: "z"}, {"a0": "A0"})
+        assert failed and failed[0] == {0: "w", 1: "x", 2: "y", 3: "z"}
+
+    def test_same_profiles_not_isomorphic(self):
+        worlds = frozenset("abcd")
+        leq = frozenset((w, w) for w in worlds) | {("a", "b"), ("c", "d")}
+        m = INModel(worlds, leq, {"x": {"b": frozenset("b")}, "y": {"d": frozenset("d")}}, {})
+        m2 = INModel(worlds, leq, {"x": {"b": frozenset("d")}, "y": {"d": frozenset("b")}}, {})
+        assert validate_inm(m) == [] and validate_inm(m2) == []
+        assert ({w: _world_profile(m, w) for w in worlds}
+                == {w: _world_profile(m2, w) for w in worlds})
+        assert find_isomorphism(m, m2) is None
+
+    def test_is_isomorphism_rejects(self):
+        m, copy = self._backtracking_pair(a1={3: frozenset({3})})
+        alpha, nu = {0: "w", 1: "y", 2: "x", 3: "z"}, {"a0": "A0", "a1": "A1"}
+        assert is_isomorphism(m, copy, alpha, nu)
+        assert not is_isomorphism(m, copy, {**alpha, 2: "y"}, nu)
+        assert not is_isomorphism(m, copy, {0: "w", 1: "y", 3: "z"}, nu)
+        assert not is_isomorphism(m, copy, alpha, {"a0": "A1", "a1": "A0"})
+        assert not is_isomorphism(m, replace(copy, val={0: frozenset({"z"})}), alpha, nu)
+        assert not is_isomorphism(m, replace(copy, leq=copy.leq | {("y", "z")}), alpha, nu)
+
+    def test_is_isomorphism_rejects_two_names_onto_one(self):
+        m, copy = self._backtracking_pair()
+        twice = replace(m, nbhds={**m.nbhds, "a1": m.nbhds["a0"]})
+        assert not is_isomorphism(twice, copy, {0: "w", 1: "y", 2: "x", 3: "z"},
+                                  {"a0": "A0", "a1": "A0"})
+
+    def test_neighbourhood_values_may_be_plain_sets(self):
+        m = INModel(frozenset({0, 1}), frozenset({(0, 0), (1, 1), (0, 1)}),
+                    {"a": {0: {1}, 1: {1}}}, {0: {1}})
+        assert find_isomorphism(m, m) == ({0: 0, 1: 1}, {"a": "a"})
 
     def test_truth_invariant_under_isomorphism(self, rng):
         for _ in range(20):
